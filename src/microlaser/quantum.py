@@ -7,9 +7,14 @@ The photon-number populations obey a birth-death master equation
 
 with velocity-averaged emission probabilities beta_bar and a reflecting
 truncation (beta_bar_{n_max+1} := 0). Detailed balance gives the steady state
-in product form; two-time intensity correlations follow from propagating the
+in product form. Two-time intensity correlations follow from propagating the
 annihilation-collapsed diagonal under the same generator (see
-docs/g2_initial_condition.md for the derivation of the initial condition).
+docs/g2_initial_condition.md for the initial condition). Detailed balance also
+makes the generator symmetric under D = diag(sqrt(P_ss)), so that propagation
+is one eigendecomposition per contiguous run of occupied states (the
+Karlin-McGregor spectral representation of a birth-death process) rather than
+a time integration. The adaptive Dormand-Prince ``evolve`` remains for
+arbitrary starting vectors.
 """
 
 from __future__ import annotations
@@ -36,6 +41,10 @@ TAIL_FRACTION = 0.01
 TAIL_MASS_LIMIT = 1e-10
 BEYOND_TRUNCATION_LIMIT = 1e-12
 EVOLVE_RTOL = 1e-9
+# g2 keeps the states with P_n > SPECTRAL_FLOOR * max P; the estimated effect
+# of everything cut away must stay below OUTFLUX_LIMIT in g2.
+SPECTRAL_FLOOR = 1e-20
+OUTFLUX_LIMIT = 1e-10
 DEFAULT_TAU_POINTS = 200
 DEFAULT_TAU_SPAN_LIFETIMES = 5.0
 
@@ -372,17 +381,35 @@ def default_tau_grid(cfg: MicrolaserConfig, n_points: int = DEFAULT_TAU_POINTS) 
     return np.linspace(0.0, DEFAULT_TAU_SPAN_LIFETIMES / cfg.gamma_c, n_points)
 
 
+def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """[lo, hi) index ranges of the runs of True in a boolean vector."""
+    padded = np.concatenate(([False], mask, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
+
+
 def g2_regression(
     cfg: MicrolaserConfig,
     dist: VelocityDistribution,
     tau_grid=None,
-    rtol: float = EVOLVE_RTOL,
 ) -> G2Curve:
     """g2(tau) from the regression of the annihilation-collapsed diagonal.
 
     W_m(0) = (m+1) P_{m+1} sums to <n> and evolves under the same generator
-    as the populations; then g2(tau) = sum_m m W_m(tau) / <n>^2. One forward
-    integration pass serves the whole tau grid via checkpointing.
+    A as the populations; then g2(tau) = sum_m m W_m(tau) / <n>^2.
+
+    A is solved in closed form. On each block of consecutive states with
+    P_n > SPECTRAL_FLOOR * max P (reflecting at the block edges), detailed
+    balance makes S = D^-1 A D with D = diag(sqrt(P)) symmetric tridiagonal,
+    with off-diagonal sqrt(birth_n death_{n+1}). One ``eigh`` S = U L U^T per
+    block gives sum_m m W_m(tau) = sum_k a_k b_k exp(lambda_k tau) with
+    a = U^T (n sqrt(P)) and b = U^T (W(0) / sqrt(P)), for any tau grid.
+
+    The cut is checked on the full basis: the block solution at tau = 0 and
+    at the largest tau is padded with zeros and sent through the full
+    generator; the flux it puts outside the kept states, plus the part of
+    W(0) left outside, bounds the error of the curve. A TruncationError is
+    raised when that bound exceeds OUTFLUX_LIMIT.
     """
     p = steady_state(cfg, dist)
     n_mean = p.mean
@@ -392,11 +419,51 @@ def g2_regression(
     taus = (
         np.asarray(tau_grid, dtype=float) if tau_grid is not None else default_tau_grid(cfg)
     )
-    w0 = np.zeros(p.n_max + 1)
-    w0[:-1] = np.arange(1, p.n_max + 1) * p.probabilities[1:]
-    states = _integrate_checkpointed(gen, w0, taus, rtol=rtol)
-    n = np.arange(p.n_max + 1, dtype=float)
-    values = states @ n / (n_mean * n_mean)
+    if taus.ndim != 1 or taus.size == 0:
+        raise ValueError("tau grid must be a nonempty 1-d array")
+    if np.any(np.diff(taus) < 0.0) or taus[0] < 0.0:
+        raise ValueError("tau grid must be nondecreasing and nonnegative")
+    tau_max = float(taus[-1])
+
+    probs = p.probabilities
+    n = np.arange(probs.size, dtype=float)
+    w0 = np.zeros(probs.size)
+    w0[:-1] = n[1:] * probs[1:]
+    kept = probs > SPECTRAL_FLOOR * probs.max()
+    correlator = np.zeros(taus.size)
+    w_end = np.zeros(probs.size)
+    for lo, hi in _runs(kept):
+        birth = gen.birth[lo:hi].copy()
+        death = gen.death[lo:hi].copy()
+        birth[-1] = 0.0  # reflect at the block edges
+        death[0] = 0.0
+        s_mat = np.zeros((hi - lo, hi - lo))
+        idx = np.arange(hi - lo)
+        s_mat[idx, idx] = -(birth + death)
+        s_mat[idx[1:], idx[:-1]] = np.sqrt(birth[:-1] * death[1:])
+        lam, u = np.linalg.eigh(s_mat, UPLO="L")
+        del s_mat  # the m x m arrays of one block are freed before the next
+        root_p = np.sqrt(probs[lo:hi])
+        a = (n[lo:hi] * root_p) @ u
+        b = (w0[lo:hi] / root_p) @ u
+        w_end[lo:hi] = root_p * (u @ (np.exp(lam * tau_max) * b))
+        del u
+        correlator += np.exp(np.outer(taus, lam)) @ (a * b)
+
+    outside = ~kept
+    leak = max(
+        float(np.abs(gen.matvec(np.where(kept, w0, 0.0))[outside]).sum()),
+        float(np.abs(gen.matvec(w_end)[outside]).sum()),
+    )
+    lost = float(w0[outside].sum()) + tau_max * leak
+    bound = p.n_max * lost / (n_mean * n_mean)
+    if not bound <= OUTFLUX_LIMIT:
+        raise TruncationError(
+            f"g2 spectral window too narrow: states outside the kept blocks "
+            f"(P_n <= {SPECTRAL_FLOOR:.0e} max P) would change g2 by up to "
+            f"{bound:.3e} (limit {OUTFLUX_LIMIT:.0e})"
+        )
+    values = correlator / (n_mean * n_mean)
     return G2Curve(tau=taus, values=values, config_hash=config_fingerprint(cfg, dist))
 
 

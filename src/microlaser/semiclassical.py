@@ -101,19 +101,9 @@ def gain_derivative(
     return float((gain(hi, cfg, dist) - gain(lo, cfg, dist)) / (hi - lo))
 
 
-def restoring_rate(
-    n0: float,
-    cfg: MicrolaserConfig,
-    dist: VelocityDistribution,
-    step: float | None = None,
-) -> float:
-    """d(L - G)/dn at n0; positive values restore deviations."""
-    h = step if step is not None else max(1e-3, 1e-6 * n0)
-    lo = max(n0 - h, 0.0)
-    hi = n0 + h
-    f_lo = loss(lo, cfg) - gain(lo, cfg, dist)
-    f_hi = loss(hi, cfg) - gain(hi, cfg, dist)
-    return float((f_hi - f_lo) / (hi - lo))
+def restoring_rate(n0: float, cfg: MicrolaserConfig, dist: VelocityDistribution) -> float:
+    """d(L - G)/dn = Gamma_c - G'(n0), with the analytic G'; positive values restore deviations."""
+    return cfg.gamma_c - gain_derivative(n0, cfg, dist, method="analytic")
 
 
 def _classify(n0: float, cfg, dist) -> FixedPoint:

@@ -59,20 +59,38 @@ def test_criterion_02_g2_zero_moment_identity():
 
 
 def test_criterion_03_semiclassical_identity():
+    # Independent side: mpmath differentiates the velocity-averaged gain
+    # r * sum_j w_j sin^2(sqrt(n + 1) theta_j) numerically at 30 digits over
+    # the same quadrature nodes; Q = Gamma_c / (Gamma_c - G') - 1. Both
+    # FixedPoint.q_semiclassical and Gamma_c * FixedPoint.tau_c - 1 must match.
+    import mpmath as mp
+
+    mp.mp.dps = 30
     worst = 0.0
     n_points = 0
     for cfg, dist in acceptance_configs():
+        r = mp.mpf(cfg.n_atoms_mean) * mp.mpf(cfg.v0) / (mp.sqrt(mp.pi) * mp.mpf(cfg.mode_waist))
+        thetas = [
+            mp.mpf(cfg.g0) * mp.sqrt(mp.pi) * mp.mpf(cfg.mode_waist) / mp.mpf(v)
+            for v in dist.velocities
+        ]
+        weights = [mp.mpf(w) for w in dist.weights]
+
+        def gain(n):
+            kernel = (w * mp.sin(mp.sqrt(n + 1) * th) ** 2 for w, th in zip(weights, thetas))
+            return r * mp.fsum(kernel)
+
         for fp in semiclassical.find_fixed_points(cfg, dist):
             if not fp.stable:
                 continue
             n_points += 1
-            q = semiclassical.mandel_q_semiclassical(fp, cfg, dist)
-            tau = semiclassical.correlation_time(fp, cfg, dist)
-            dev = abs(q - (cfg.gamma_c * tau - 1.0)) / max(abs(q), 1e-9)
-            worst = max(worst, dev)
+            gamma_c = mp.mpf(cfg.gamma_c)
+            q_ref = float(gamma_c / (gamma_c - mp.diff(gain, mp.mpf(fp.n0))) - 1)
+            for q in (fp.q_semiclassical, cfg.gamma_c * fp.tau_c - 1.0):
+                worst = max(worst, abs(q - q_ref) / max(abs(q_ref), 1e-9))
     report(
         3, "Q = Gamma_c tau_c - 1", worst < 1e-9 and n_points >= 20,
-        f"{n_points} stable points, worst relative deviation = {worst:.3e}",
+        f"{n_points} stable points, worst relative deviation from mpmath = {worst:.3e}",
     )
 
 

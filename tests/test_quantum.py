@@ -302,6 +302,58 @@ def test_g2_coherent_surrogate_is_flat():
     assert np.max(np.abs(g2 - 1.0)) < 1e-8
 
 
+def dp5_g2(cfg, dist, taus):
+    """Reference g2: DP5 regression of W(0) = (m+1) P_{m+1} on the full basis.
+
+    rtol is tightened from the default 1e-9 because at <n> < 1 the default
+    step error alone moves g2 by up to 2e-9, against 1e-13 for the spectral
+    solution (both checked against scipy's dense expm).
+    """
+    p = steady_state(cfg, dist)
+    gen = build_generator(cfg, dist, n_max=p.n_max)
+    w0 = np.zeros(gen.size)
+    w0[:-1] = np.arange(1, gen.size) * p.probabilities[1:]
+    states = quantum._integrate_checkpointed(gen, w0, taus, rtol=1e-12)
+    return states @ np.arange(gen.size, dtype=float) / p.mean**2
+
+
+def test_g2_matches_dp5_reference_random_configs():
+    rng = np.random.default_rng(31)
+    checked = 0
+    for _ in range(16):
+        cfg, dist = random_config(rng)
+        if steady_state(cfg, dist).mean <= 0.0:
+            continue
+        taus = np.linspace(0.0, 3.0 / cfg.gamma_c, 9)
+        curve = g2_regression(cfg, dist, tau_grid=taus)
+        assert np.max(np.abs(curve.values - dp5_g2(cfg, dist, taus))) <= 1e-10
+        checked += 1
+    assert checked >= 12
+
+
+def test_g2_separate_blocks_match_dp5(scaled_cfg, scaled_dist):
+    # Monovelocity trapping gap: two populated photon-number bands that the
+    # spectral solution treats as separate blocks.
+    cfg = scaled_cfg.with_n_atoms(33.0)
+    probs = steady_state(cfg, scaled_dist).probabilities
+    assert len(quantum._runs(probs > quantum.SPECTRAL_FLOOR * probs.max())) == 2
+    taus = np.linspace(0.0, 5.0 / cfg.gamma_c, 11)
+    curve = g2_regression(cfg, scaled_dist, tau_grid=taus)
+    assert np.max(np.abs(curve.values - dp5_g2(cfg, scaled_dist, taus))) <= 1e-10
+
+
+def test_g2_truncation_guard_trips_on_coarse_floor(scaled_cfg, scaled_dist, monkeypatch):
+    monkeypatch.setattr(quantum, "SPECTRAL_FLOOR", 1e-3)
+    with pytest.raises(TruncationError, match="spectral window"):
+        g2_regression(scaled_cfg, scaled_dist)
+
+
+def test_g2_rejects_bad_tau_grid(scaled_cfg, scaled_dist):
+    for grid in (np.array([]), np.array([0.0, -1e-7]), np.array([2e-7, 1e-7])):
+        with pytest.raises(ValueError):
+            g2_regression(scaled_cfg, scaled_dist, tau_grid=grid)
+
+
 def test_g2_undefined_for_empty_field(published_cfg, published_dist):
     with pytest.raises(ValueError):
         g2_regression(published_cfg.with_n_atoms(0.0), published_dist)
