@@ -45,7 +45,6 @@ from .quantum import (
     build_generator,
     evolve,
     g2_regression,
-    moments,
     q_and_tau_from_g2,
     steady_state,
     validity_check,

@@ -27,8 +27,8 @@ FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 # Velocity support is the +-3 sigma window of the spread, renormalized.
 TRUNCATION_SIGMAS = 3.0
 
-# Lower clip keeps quadrature nodes and sampled velocities strictly positive
-# for very wide spreads (support would otherwise cross v = 0).
+# Lower clip keeps quadrature nodes strictly positive for very wide spreads
+# (support would otherwise cross v = 0).
 MIN_VELOCITY_FRACTION = 1e-3
 
 DEFAULT_QUADRATURE_NODES = 64
@@ -260,17 +260,6 @@ class VelocityDistribution:
     @property
     def sigma(self) -> float:
         return self.fwhm / FWHM_PER_SIGMA
-
-    def sample(self, rng: np.random.Generator) -> float:
-        """Draw one speed; rejection keeps samples on the truncated support."""
-        if self.kind == "delta":
-            return self.v0
-        lo, hi = self.support
-        s = self.sigma
-        while True:
-            v = self.v0 + s * rng.standard_normal()
-            if lo <= v <= hi:
-                return v
 
 
 def averaged_beta(k, cfg: MicrolaserConfig, dist: VelocityDistribution):

@@ -10,7 +10,6 @@ the result is independent of how the start stream is partitioned.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -352,10 +351,3 @@ def fit_report(fit: ExpFit, q: QEstimate | None = None, extra=None, header_lines
     entries += list((extra or {}).items())
     lines.extend(f"{key} = {_render(value)}" for key, value in entries)
     return "\n".join(lines) + "\n"
-
-
-def timed_correlate(a, b, bin_width, window):
-    """(histogram, elapsed seconds); used by throughput checks."""
-    start = time.perf_counter()
-    hist = correlate(a, b, bin_width, window)
-    return hist, time.perf_counter() - start

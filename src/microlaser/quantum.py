@@ -97,11 +97,6 @@ class PhotonDistribution:
         return self.variance / m - 1.0
 
 
-def moments(p: PhotonDistribution) -> tuple[float, float, float | None]:
-    """(mean, variance, Mandel Q); Q is None when the mean vanishes."""
-    return p.mean, p.variance, p.mandel_q
-
-
 def default_n_max(cfg: MicrolaserConfig) -> int:
     """Truncation policy: 4 * (r / Gamma_c), clamped to [32, 8192]."""
     r = injection_rate(cfg)

@@ -1,27 +1,33 @@
 """Stochastic jump-process simulation of the microlaser: the synthetic experiment.
 
-Two competing event types drive the intracavity photon number: excited atoms
-arrive as a Poisson process at rate r = <N>/t_int(v0) and deposit a photon
-with probability sin^2(sqrt(n+1) g0 t_int(v)) for their sampled velocity v;
-the cavity loses photons at the state-dependent rate Gamma_c * n, and each
-loss is recorded as a detection with the configured efficiency, routed to one
-of two detector channels. Waiting times are sampled exactly (no tau-leaping),
-so long runs reproduce the master-equation statistics to sampling error.
+The intracavity photon number is a birth-death jump chain. Excited atoms
+arrive as a Poisson process at rate r = <N>/t_int(v0), and an atom meeting n
+photons leaves one behind with the velocity-averaged probability
+beta_bar_{n+1}; by Poisson thinning the emissions alone are a Poisson process
+of rate r * beta_bar_{n+1}, so the chain steps up at that rate and down at
+Gamma_c * n. Waiting times are sampled exactly (no tau-leaping), with the
+random numbers drawn in fixed blocks. Each loss is recorded as a detection
+with the configured efficiency and routed to one of two detector channels.
+The atoms that pass without emitting are the complementary thinning, a
+Poisson count with mean equal to the integral of r * (1 - beta_bar_{n(t)+1})
+over the run, so ``atoms_injected`` keeps the Poisson(r T) law of the arrivals.
 """
 
 from __future__ import annotations
 
-import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SQRT_PI, MicrolaserConfig, VelocityDistribution, injection_rate
+from .core import MicrolaserConfig, VelocityDistribution, averaged_beta_table, injection_rate
 from .errors import TruncationError
 from .quantum import PhotonDistribution, effective_n_max, steady_state
 from .streams import TimestampStream
 
 DEFAULT_BURN_IN_LIFETIMES = 20.0
+# Exponential and uniform variates are drawn this many at a time.
+RANDOM_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -82,60 +88,57 @@ def simulate(
 
     r = injection_rate(cfg)
     gamma_c = cfg.gamma_c
-    eta = cfg.detection_efficiency
-    split = cfg.splitter_ratio
-    g0 = cfg.g0
-    waist_term = g0 * SQRT_PI * cfg.mode_waist  # theta(v) = waist_term / v
-    delta_velocity = dist.kind == "delta"
-    theta_v0 = waist_term / dist.v0
+    # birth[k] = r * beta_bar_{k+1}; k runs to n_basis because a start at
+    # n_basis is allowed (it raises on its first emission).
+    birth = r * averaged_beta_table(n_basis + 1, cfg, dist)
+    total = birth + gamma_c * np.arange(n_basis + 1)
+    # A state with no way out (n = 0 without pump) waits forever: its mean
+    # wait is inf, so the clock passes the end of the run.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean_wait = (1.0 / total).tolist()
+        p_up = np.where(total > 0.0, birth / total, 0.0).tolist()
 
     initial = n
     t = 0.0
-    atoms = emissions = decays = detections = 0
-    ch1: list[float] = []
-    ch2: list[float] = []
-    path_t: list[float] = [0.0] if record_path else []
-    path_n: list[int] = [n] if record_path else []
-
-    rand = rng.random
-    rexp = rng.exponential
-    sin = math.sin
-    sqrt = math.sqrt
-
-    while True:
-        total = r + gamma_c * n
-        if total <= 0.0:
-            break
-        t += rexp(1.0 / total)
-        if t >= duration:
-            break
-        if rand() * total < r:
-            atoms += 1
-            theta = theta_v0 if delta_velocity else waist_term / dist.sample(rng)
-            p_emit = sin(sqrt(n + 1.0) * theta) ** 2
-            if rand() < p_emit:
+    times = array("d")
+    steps = array("b")
+    running = True
+    while running:
+        exps = rng.standard_exponential(RANDOM_BLOCK).tolist()
+        unis = rng.random(RANDOM_BLOCK).tolist()
+        for e, u in zip(exps, unis):
+            t += e * mean_wait[n]
+            if not t < duration:  # also ends on inf * 0 = nan
+                running = False
+                break
+            if u < p_up[n]:
                 n += 1
-                emissions += 1
                 if n >= n_basis:
                     raise TruncationError(
                         f"photon number reached the basis truncation n_max={n_basis} "
                         f"at t={t:.3e} s; raise n_max"
                     )
-                if record_path:
-                    path_t.append(t)
-                    path_n.append(n)
-        else:
-            n -= 1
-            decays += 1
-            if record_path:
-                path_t.append(t)
-                path_n.append(n)
-            if eta >= 1.0 or rand() < eta:
-                detections += 1
-                if rand() < split:
-                    ch1.append(t)
-                else:
-                    ch2.append(t)
+                steps.append(1)
+            else:
+                n -= 1
+                steps.append(-1)
+            times.append(t)
+
+    event_t = np.frombuffer(times)
+    step = np.frombuffer(steps, dtype=np.int8)
+    path_n = np.cumsum(np.concatenate(([initial], step)), dtype=np.int64)
+
+    down = step < 0
+    decays = int(np.count_nonzero(down))
+    emissions = step.size - decays
+    detected = event_t[down][rng.random(decays) < cfg.detection_efficiency]
+    to_ch1 = rng.random(detected.size) < cfg.splitter_ratio
+
+    # Atoms that leave no photon: Poisson with mean int r (1 - beta_bar_{n+1}) dt.
+    dwell = np.append(event_t, duration)
+    dwell[1:] -= event_t
+    occupancy = np.bincount(path_n, weights=dwell, minlength=n_basis + 1)
+    passed = rng.poisson(max(float((r - birth) @ occupancy), 0.0))
 
     return TrajectoryRecord(
         seed=seed,
@@ -144,14 +147,14 @@ def simulate(
         n_basis=n_basis,
         initial_n=initial,
         final_n=n,
-        path_times=np.asarray(path_t) if record_path else None,
-        path_values=np.asarray(path_n, dtype=np.int64) if record_path else None,
-        stream1=TimestampStream(np.asarray(ch1), channel=1, duration=duration),
-        stream2=TimestampStream(np.asarray(ch2), channel=2, duration=duration),
-        atoms_injected=atoms,
+        path_times=np.concatenate(([0.0], event_t)) if record_path else None,
+        path_values=path_n if record_path else None,
+        stream1=TimestampStream(detected[to_ch1], channel=1, duration=duration),
+        stream2=TimestampStream(detected[~to_ch1], channel=2, duration=duration),
+        atoms_injected=emissions + int(passed),
         emissions=emissions,
         decays=decays,
-        detections=detections,
+        detections=detected.size,
     )
 
 

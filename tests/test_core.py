@@ -149,16 +149,6 @@ def test_velocity_distribution_single_node_sits_at_v0():
     assert one.weights.tolist() == [1.0]
 
 
-def test_velocity_sampling_matches_support(published_cfg):
-    dist = VelocityDistribution.from_config(published_cfg)
-    rng = np.random.default_rng(9)
-    draws = np.array([dist.sample(rng) for _ in range(2000)])
-    lo, hi = dist.support
-    assert np.all((draws >= lo) & (draws <= hi))
-    sigma = dist.sigma
-    assert abs(draws.mean() - 750.0) < 5.0 * sigma / math.sqrt(2000)
-
-
 def test_injection_rate_uses_v0(published_cfg):
     r = injection_rate(published_cfg)
     assert r == pytest.approx(158.0 / T_INT_PUBLISHED, rel=1e-12)

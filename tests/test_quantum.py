@@ -23,7 +23,6 @@ from microlaser.quantum import (
     evolve,
     g2_csv,
     g2_regression,
-    moments,
     q_and_tau_from_g2,
     steady_state,
     validity_check,
@@ -137,23 +136,21 @@ def test_distribution_invariants_enforced():
 
 def test_moments_poisson_fock_thermal():
     p = poisson_distribution(50.0, 400)
-    mean, var, q = moments(p)
-    assert mean == pytest.approx(50.0, rel=1e-12)
-    assert q == pytest.approx(0.0, abs=1e-10)
+    assert p.mean == pytest.approx(50.0, rel=1e-12)
+    assert p.mandel_q == pytest.approx(0.0, abs=1e-10)
 
     fock = np.zeros(201)
     fock[100] = 1.0
-    mean, var, q = moments(PhotonDistribution(fock))
-    assert mean == 100.0
-    assert var == 0.0
-    assert q == -1.0
+    fock = PhotonDistribution(fock)
+    assert fock.mean == 100.0
+    assert fock.variance == 0.0
+    assert fock.mandel_q == -1.0
 
     nbar = 10.0
     n = np.arange(1200, dtype=float)
     thermal = PhotonDistribution.from_weights((nbar / (nbar + 1.0)) ** n)
-    mean, var, q = moments(thermal)
-    assert mean == pytest.approx(nbar, rel=1e-9)
-    assert q == pytest.approx(nbar, rel=1e-8)
+    assert thermal.mean == pytest.approx(nbar, rel=1e-9)
+    assert thermal.mandel_q == pytest.approx(nbar, rel=1e-8)
 
 
 def test_generator_columns_sum_to_zero(published_cfg, published_dist):

@@ -1,7 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from microlaser.core import TWO_PI, MicrolaserConfig, VelocityDistribution, interaction_time
+from microlaser.core import (
+    TWO_PI,
+    MicrolaserConfig,
+    VelocityDistribution,
+    injection_rate,
+    interaction_time,
+)
 from microlaser.errors import TruncationError
 from microlaser.quantum import steady_state
 from microlaser.semiclassical import find_fixed_points
@@ -10,6 +20,8 @@ from microlaser.trajectory import (
     simulate,
     total_variation_distance,
 )
+
+from conftest import random_config
 
 
 def test_pure_death_process(scaled_cfg, scaled_dist):
@@ -104,8 +116,9 @@ def test_occupancy_published_config(published_cfg, published_dist):
     assert total_variation_distance(occ, p_ss) <= 0.05
 
 
-def test_velocity_sampling_path(published_cfg, published_dist):
-    # gaussian spread exercises the rejection sampler; modest duration
+def test_velocity_spread_path(published_cfg, published_dist):
+    # gaussian spread: emission rates come from the quadrature-averaged
+    # beta-bar table; modest duration
     cfg = published_cfg.with_n_atoms(12.0)
     rec = simulate(cfg, published_dist, duration=50.0 / cfg.gamma_c, seed=3, record_path=False)
     assert rec.atoms_injected > 0
@@ -172,3 +185,58 @@ def test_steady_start_unbiased_mean(scaled_cfg, scaled_dist):
     grand = float(np.mean(means))
     se = float(np.std(means, ddof=1)) / np.sqrt(len(means))
     assert abs(grand - p_ss.mean) <= 4.0 * se
+
+
+def test_atom_count_is_poisson(scaled_cfg, scaled_dist):
+    # every arrival counts, emitting or not: atoms_injected ~ Poisson(r T)
+    duration = 20.0 / scaled_cfg.gamma_c
+    runs = 400
+    counts = np.array([
+        simulate(scaled_cfg, scaled_dist, duration, seed=5000 + seed,
+                 record_path=False).atoms_injected
+        for seed in range(runs)
+    ], dtype=float)
+    expected = injection_rate(scaled_cfg) * duration
+    assert abs(counts.mean() - expected) <= 4.0 * np.sqrt(expected / runs)
+    # dispersion index: (runs - 1) var / mean ~ chi2(runs - 1) for Poisson;
+    # normal approximation, 4 sigma either side (var / mean within 1 +- 0.28)
+    dof = runs - 1
+    dispersion = dof * counts.var(ddof=1) / counts.mean()
+    assert abs(dispersion - dof) <= 4.0 * np.sqrt(2.0 * dof)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    config_seed=st.integers(0, 2**32 - 1),
+    run_seed=st.integers(0, 2**32 - 1),
+    lifetimes=st.floats(0.5, 50.0),
+    efficiency=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+)
+def test_simulate_record_invariants(config_seed, run_seed, lifetimes, efficiency):
+    cfg, dist = random_config(np.random.default_rng(config_seed))
+    cfg = replace(cfg, detection_efficiency=efficiency)
+    duration = lifetimes / cfg.gamma_c
+    rec = simulate(cfg, dist, duration, seed=run_seed)
+
+    steps = np.diff(rec.path_values)
+    assert np.all(np.abs(steps) == 1)
+    assert rec.path_values[0] == rec.initial_n
+    assert rec.path_values[-1] == rec.final_n
+    assert np.all(np.diff(rec.path_times) >= 0.0)
+    assert rec.emissions - rec.decays == rec.final_n - rec.initial_n
+    assert rec.emissions == np.count_nonzero(steps > 0)
+    assert rec.stream1.count + rec.stream2.count == rec.detections <= rec.decays
+    assert rec.atoms_injected >= rec.emissions
+    for stream in (rec.stream1, rec.stream2):
+        t = stream.times
+        assert np.all(np.diff(t) >= 0.0)
+        assert t.size == 0 or (t[0] >= 0.0 and t[-1] < duration)
+        # every detection is a decay on the path
+        assert np.all(np.isin(t, rec.path_times[1:][steps < 0]))
+
+    again = simulate(cfg, dist, duration, seed=run_seed)
+    for field in ("initial_n", "final_n", "n_basis", "atoms_injected", "emissions",
+                  "decays", "detections", "path_times", "path_values"):
+        assert np.array_equal(getattr(rec, field), getattr(again, field))
+    assert np.array_equal(rec.stream1.times, again.stream1.times)
+    assert np.array_equal(rec.stream2.times, again.stream2.times)
