@@ -34,7 +34,6 @@ from .errors import (
     FitConvergenceError,
     MicrolaserError,
     NoFixedPointError,
-    StiffnessError,
     TruncationError,
 )
 from .fitting import ExpFit, fit_exp_decay
@@ -43,7 +42,6 @@ from .quantum import (
     MasterEquationGenerator,
     PhotonDistribution,
     build_generator,
-    evolve,
     g2_regression,
     q_and_tau_from_g2,
     steady_state,
@@ -52,11 +50,9 @@ from .quantum import (
 from .semiclassical import (
     FixedPoint,
     SweepResult,
-    correlation_time,
     find_fixed_points,
     gain,
     loss,
-    mandel_q_semiclassical,
     sweep,
 )
 from .streams import (

@@ -203,14 +203,11 @@ class VelocityDistribution:
         v0: float,
         fwhm: float,
         n_nodes: int = DEFAULT_QUADRATURE_NODES,
-        scheme: str = "legendre",
     ) -> "VelocityDistribution":
         """Truncated Gaussian speed distribution on a quadrature grid.
 
-        ``scheme`` selects the node placement: ``"legendre"`` (Gauss-Legendre
-        nodes against the renormalized density; the default) or
-        ``"trapezoid"`` (equally spaced). Legendre is the default because the
-        emission kernel oscillates in v and the equal-spacing rule needs
+        Nodes are Gauss-Legendre points weighted by the renormalized density.
+        The emission kernel oscillates in v, and an equal-spacing rule needs
         thousands of nodes to reach comparable accuracy at high photon
         numbers.
         """
@@ -225,21 +222,9 @@ class VelocityDistribution:
         sigma = fwhm / FWHM_PER_SIGMA
         lo = max(v0 - TRUNCATION_SIGMAS * sigma, MIN_VELOCITY_FRACTION * v0)
         hi = v0 + TRUNCATION_SIGMAS * sigma
-        if scheme == "legendre":
-            x, wq = np.polynomial.legendre.leggauss(n_nodes)
-            v = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-            w = wq * np.exp(-0.5 * ((v - v0) / sigma) ** 2)
-        elif scheme == "trapezoid":
-            if n_nodes == 1:
-                v = np.array([v0])
-                w = np.array([1.0])
-            else:
-                v = np.linspace(lo, hi, n_nodes)
-                w = np.exp(-0.5 * ((v - v0) / sigma) ** 2)
-                w[0] *= 0.5
-                w[-1] *= 0.5
-        else:
-            raise ConfigError(f"unknown quadrature scheme {scheme!r}")
+        x, wq = np.polynomial.legendre.leggauss(n_nodes)
+        v = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+        w = wq * np.exp(-0.5 * ((v - v0) / sigma) ** 2)
         w = w / w.sum()
         return cls(
             kind="gaussian", v0=v0, fwhm=fwhm, velocities=v, weights=w,
@@ -251,11 +236,10 @@ class VelocityDistribution:
         cls,
         cfg: MicrolaserConfig,
         n_nodes: int = DEFAULT_QUADRATURE_NODES,
-        scheme: str = "legendre",
     ) -> "VelocityDistribution":
         if cfg.dv_fwhm_frac == 0.0:
             return cls.delta(cfg.v0)
-        return cls.gaussian(cfg.v0, cfg.dv_fwhm_frac * cfg.v0, n_nodes, scheme)
+        return cls.gaussian(cfg.v0, cfg.dv_fwhm_frac * cfg.v0, n_nodes)
 
     @property
     def sigma(self) -> float:

@@ -13,18 +13,6 @@ class TruncationError(MicrolaserError):
     """Photon-number basis too small for the requested computation."""
 
 
-class StiffnessError(MicrolaserError):
-    """Adaptive integrator step size underflowed.
-
-    Carries a diagnostic of where the integration stalled.
-    """
-
-    def __init__(self, message, t=None, step=None):
-        super().__init__(message)
-        self.t = t
-        self.step = step
-
-
 class FitConvergenceError(MicrolaserError):
     """Nonlinear fit failed to converge; ``last_iterate`` holds (c0, tau_c)."""
 

@@ -13,8 +13,7 @@ docs/g2_initial_condition.md for the initial condition). Detailed balance also
 makes the generator symmetric under D = diag(sqrt(P_ss)), so that propagation
 is one eigendecomposition per contiguous run of occupied states (the
 Karlin-McGregor spectral representation of a birth-death process) rather than
-a time integration. The adaptive Dormand-Prince ``evolve`` remains for
-arbitrary starting vectors.
+a time integration.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .core import (
     injection_rate,
     interaction_time,
 )
-from .errors import StiffnessError, TruncationError
+from .errors import TruncationError
 from .fitting import ExpFit, fit_exp_decay
 
 N_MAX_CAP = 8192
@@ -40,7 +39,6 @@ N_MAX_FLOOR = 32
 TAIL_FRACTION = 0.01
 TAIL_MASS_LIMIT = 1e-10
 BEYOND_TRUNCATION_LIMIT = 1e-12
-EVOLVE_RTOL = 1e-9
 # g2 keeps the states with P_n > SPECTRAL_FLOOR * max P; the estimated effect
 # of everything cut away must stay below OUTFLUX_LIMIT in g2.
 SPECTRAL_FLOOR = 1e-20
@@ -170,33 +168,16 @@ class MasterEquationGenerator:
     birth: np.ndarray
     death: np.ndarray
     diag: np.ndarray
-    injection_rate: float
-    gamma_c: float
-    beta_table: np.ndarray
 
     @property
     def size(self) -> int:
         return self.diag.size
-
-    @property
-    def n_max(self) -> int:
-        return self.diag.size - 1
 
     def matvec(self, p: np.ndarray) -> np.ndarray:
         out = self.diag * p
         out[1:] += self.birth[:-1] * p[:-1]
         out[:-1] += self.death[1:] * p[1:]
         return out
-
-    def dense(self) -> np.ndarray:
-        a = np.diag(self.diag)
-        idx = np.arange(self.n_max)
-        a[idx + 1, idx] += self.birth[:-1]
-        a[idx, idx + 1] += self.death[1:]
-        return a
-
-    def max_rate(self) -> float:
-        return float(np.max(-self.diag)) if self.size else 0.0
 
 
 def build_generator(
@@ -211,145 +192,9 @@ def build_generator(
     birth[:-1] = r * beta_bar
     death = cfg.gamma_c * np.arange(size + 1, dtype=float)
     diag = -(birth + death)
-    for arr in (birth, death, diag, beta_bar):
+    for arr in (birth, death, diag):
         arr.flags.writeable = False
-    return MasterEquationGenerator(
-        birth=birth, death=death, diag=diag,
-        injection_rate=r, gamma_c=cfg.gamma_c, beta_table=beta_bar,
-    )
-
-
-# Dormand-Prince 5(4) coefficients, unrolled in the stepper below.
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (
-    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
-)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    _B1 - 5179 / 57600,
-    _B3 - 7571 / 16695,
-    _B4 - 393 / 640,
-    _B5 + 92097 / 339200,
-    _B6 - 187 / 2100,
-    -1 / 40,
-)
-
-
-def _integrate_checkpointed(
-    gen: MasterEquationGenerator,
-    y0: np.ndarray,
-    times: np.ndarray,
-    rtol: float = EVOLVE_RTOL,
-) -> np.ndarray:
-    """One adaptive Dormand-Prince pass through sorted checkpoint times.
-
-    Returns the state at every requested time (shape len(times) x size).
-    Steps are error-controlled at ``rtol`` per step; the stiffness of the
-    generator (fastest rate ~ Gamma_c * n_max) shows up only as a step-size
-    ceiling, which the controller finds on its own.
-    """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("checkpoint times must be a nonempty 1-d array")
-    if np.any(np.diff(times) < 0.0) or times[0] < 0.0:
-        raise ValueError("checkpoint times must be nondecreasing and nonnegative")
-
-    y = np.array(y0, dtype=float)
-    out = np.empty((times.size, y.size))
-    idx = 0
-    t = 0.0
-    while idx < times.size and times[idx] <= t:
-        out[idx] = y
-        idx += 1
-    if idx >= times.size:
-        return out
-
-    scale_floor = 1e-30 + rtol * float(np.max(np.abs(y)))
-    max_rate = gen.max_rate()
-    h = min(
-        0.1 / max_rate if max_rate > 0.0 else times[-1],
-        times[-1] if times[-1] > 0.0 else 1.0,
-    )
-    t_end = float(times[-1])
-    h_min = max(t_end * 1e-16, 1e-300)
-    matvec = gen.matvec
-    k1 = matvec(y)  # FSAL: carries f(y) across accepted steps
-
-    while idx < times.size:
-        t_target = float(times[idx])
-        hit_checkpoint = False
-        if t + h >= t_target:
-            h_step = t_target - t
-            hit_checkpoint = True
-        else:
-            h_step = h
-        if h_step <= 0.0:
-            out[idx] = y
-            idx += 1
-            continue
-
-        k2 = matvec(y + (h_step * _A21) * k1)
-        k3 = matvec(y + h_step * (_A31 * k1 + _A32 * k2))
-        k4 = matvec(y + h_step * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = matvec(y + h_step * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-        k6 = matvec(
-            y + h_step * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
-        )
-        y_new = y + h_step * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = matvec(y_new)
-        err_vec = h_step * (
-            _E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7
-        )
-        scale = scale_floor + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-
-        if err <= 1.0:
-            t = t + h_step
-            y = y_new
-            k1 = k7
-            if hit_checkpoint:
-                while idx < times.size and times[idx] <= t:
-                    out[idx] = y
-                    idx += 1
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-            h = max(h_step * factor, h_min)
-        else:
-            h = h_step * (max(0.1, 0.9 * err ** -0.2) if math.isfinite(err) else 0.1)
-            if h < h_min or t + h == t:
-                raise StiffnessError(
-                    f"step size underflow at t={t:.6e} s (h={h:.3e}, err={err:.3e}); "
-                    f"generator max rate {max_rate:.3e} /s",
-                    t=t,
-                    step=h,
-                )
-    return out
-
-
-def evolve(
-    gen: MasterEquationGenerator,
-    p0,
-    t: float,
-    rtol: float = EVOLVE_RTOL,
-) -> np.ndarray:
-    """Propagate dp/dt = A p to time t with adaptive stepping.
-
-    ``p0`` is any nonnegative vector (not necessarily normalized); its total
-    mass is conserved by the generator and preserved by the integration to
-    well below 1e-9 relative.
-    """
-    p0 = np.asarray(p0, dtype=float)
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if p0.shape != (gen.size,):
-        raise ValueError(f"p0 must have shape ({gen.size},), got {p0.shape}")
-    if np.any(p0 < 0.0):
-        raise ValueError("p0 entries must be nonnegative")
-    if t == 0.0:
-        return p0.copy()
-    return _integrate_checkpointed(gen, p0, np.array([t]), rtol=rtol)[0]
+    return MasterEquationGenerator(birth=birth, death=death, diag=diag)
 
 
 @dataclass(frozen=True)

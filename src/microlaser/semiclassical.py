@@ -11,7 +11,6 @@ including its hysteretic jumps.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,35 +74,17 @@ def loss(n, cfg: MicrolaserConfig):
     return float(val) if n_arr.ndim == 0 else val
 
 
-def gain_derivative(
-    n: float,
-    cfg: MicrolaserConfig,
-    dist: VelocityDistribution,
-    method: str = "central",
-    step: float | None = None,
-) -> float:
-    """dG/dn at n.
-
-    ``central`` keeps the operation agnostic to the averaging internals;
-    ``analytic`` differentiates the sin^2 kernel directly and is the fast
-    path (the two agree to better than 1e-6 relative).
-    """
-    if method == "analytic":
-        r = injection_rate(cfg)
-        theta = cfg.g0 * interaction_time(dist.velocities, cfg.mode_waist)
-        sk = np.sqrt(n + 1.0)
-        return float(r * (np.sin(2.0 * sk * theta) * theta / (2.0 * sk)) @ dist.weights)
-    if method != "central":
-        raise ValueError(f"unknown derivative method {method!r}")
-    h = step if step is not None else max(1e-3, 1e-6 * n)
-    lo = max(n - h, 0.0)
-    hi = n + h
-    return float((gain(hi, cfg, dist) - gain(lo, cfg, dist)) / (hi - lo))
+def gain_derivative(n: float, cfg: MicrolaserConfig, dist: VelocityDistribution) -> float:
+    """dG/dn at n, from the derivative of the sin^2 kernel."""
+    r = injection_rate(cfg)
+    theta = cfg.g0 * interaction_time(dist.velocities, cfg.mode_waist)
+    sk = np.sqrt(n + 1.0)
+    return float(r * (np.sin(2.0 * sk * theta) * theta / (2.0 * sk)) @ dist.weights)
 
 
 def restoring_rate(n0: float, cfg: MicrolaserConfig, dist: VelocityDistribution) -> float:
-    """d(L - G)/dn = Gamma_c - G'(n0), with the analytic G'; positive values restore deviations."""
-    return cfg.gamma_c - gain_derivative(n0, cfg, dist, method="analytic")
+    """d(L - G)/dn = Gamma_c - G'(n0); positive values restore deviations."""
+    return cfg.gamma_c - gain_derivative(n0, cfg, dist)
 
 
 def _classify(n0: float, cfg, dist) -> FixedPoint:
@@ -177,20 +158,6 @@ def find_fixed_points(
     return [_classify(n0, cfg, dist) for n0 in deduped]
 
 
-def correlation_time(fp: FixedPoint, cfg: MicrolaserConfig, dist: VelocityDistribution) -> float:
-    """tau_c = 1 / [d(L-G)/dn at n0]; only defined at stable points."""
-    if not fp.stable:
-        raise ValueError(f"correlation time undefined at unstable point n0={fp.n0:g}")
-    return 1.0 / restoring_rate(fp.n0, cfg, dist)
-
-
-def mandel_q_semiclassical(fp: FixedPoint, cfg: MicrolaserConfig, dist: VelocityDistribution) -> float:
-    """Q = G'(n0) / (Gamma_c - G'(n0)), equivalently Gamma_c * tau_c - 1."""
-    if not fp.stable:
-        raise ValueError(f"Mandel Q undefined at unstable point n0={fp.n0:g}")
-    return cfg.gamma_c / restoring_rate(fp.n0, cfg, dist) - 1.0
-
-
 def sweep(
     cfg_template: MicrolaserConfig,
     dist: VelocityDistribution,
@@ -239,28 +206,3 @@ def sweep(
         points.append(SweepPoint(n_atoms, chosen, tuple(census)))
     return SweepResult(direction=direction, points=tuple(points))
 
-
-def sweep_csv(result: SweepResult, cfg: MicrolaserConfig) -> str:
-    """Render a sweep as CSV with the configuration echoed in '#' headers."""
-    buf = io.StringIO()
-    for key, value in cfg.to_dict().items():
-        buf.write(f"# {key} = {value}\n")
-    buf.write(f"# direction = {result.direction}\n")
-    buf.write("N_mean,n0_selected,stable_roots,tau_c_seconds,Q\n")
-    for pt in result.points:
-        stable_roots = ";".join(
-            f"{fp.n0:.10g}" for fp in pt.fixed_points if fp.stable
-        )
-        if pt.selected is not None:
-            buf.write(
-                f"{pt.n_atoms_mean:.10g},{pt.selected.n0:.10g},{stable_roots},"
-                f"{pt.selected.tau_c:.10g},{pt.selected.q_semiclassical:.10g}\n"
-            )
-        else:
-            buf.write(f"{pt.n_atoms_mean:.10g},nan,{stable_roots},nan,nan\n")
-    return buf.getvalue()
-
-
-def write_sweep_csv(result: SweepResult, cfg: MicrolaserConfig, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(sweep_csv(result, cfg))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -280,3 +285,29 @@ def test_exit_code_io_error(tmp_path, scaled_cfg_file):
 
 def test_usage_error_exit_code():
     assert main(["sweep", "--n-range", "1:2:1"]) == 2  # missing --config
+
+
+NUMPY_ONLY_SCRIPT = """\
+import sys
+for name in ("scipy", "mpmath", "hypothesis"):
+    sys.modules[name] = None  # any import of these now raises ImportError
+from microlaser.cli import main
+cfg, out = sys.argv[1], sys.argv[2]
+raise SystemExit(
+    main(["predict-g2", "--config", cfg, "--out", out + "/g2.csv"])
+    or main(["pipeline", "--config", cfg, "--duration-s", "0.002", "--out-dir", out])
+)
+"""
+
+
+def test_runtime_needs_numpy_only(tmp_path):
+    # scipy, mpmath and hypothesis are test extras; the commands must run without them.
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY_SCRIPT, str(root / "configs" / "scaled.cfg"),
+         str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "g2.csv").exists()
