@@ -12,7 +12,6 @@ from .core import (
     averaged_beta,
     beta,
     injection_rate,
-    injection_rate_mean_transit,
     interaction_time,
     load_config,
     save_config,
@@ -57,8 +56,6 @@ from .semiclassical import (
 )
 from .streams import (
     TimestampStream,
-    apply_afterpulsing,
-    apply_dead_time,
     read_mlts1,
     read_stream,
     write_mlts1,

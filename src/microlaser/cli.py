@@ -3,7 +3,7 @@
 Subcommands wire the theory, simulation, and analysis modules together:
 
     sweep          pump sweep (rate-equation branches + number-basis theory)
-    predict-g2     theoretical g2(tau) curve with fitted C0, tau_c, Q
+    predict-g2     theoretical g2(tau) curve with its spectral C0, tau_c, Q
     simulate       stochastic run producing two binary timestamp streams
     correlate-fit  multi-start multi-stop histogram, g2, exponential fit
     pipeline       simulate -> correlate -> fit -> compare against theory
@@ -173,17 +173,17 @@ def cmd_predict_g2(args) -> int:
     if p.mean <= 0.0:
         raise ConfigError("predict-g2 needs a nonempty steady state (n_atoms_mean > 0)")
     curve = quantum.g2_regression(cfg, dist)
-    fit = quantum.q_and_tau_from_g2(curve, p.mean)
+    summary = quantum.q_and_tau_from_g2(curve, p.mean)
     manifest.wall_clock_s = time.perf_counter() - t0
 
     header = manifest.header_lines()
     header.append(f"n_mean = {p.mean!r}")
     header.append(f"mandel_q_moments = {p.mandel_q!r}")
-    header.append(f"c0 = {fit.c0!r}")
-    header.append(f"tau_c_s = {fit.tau_c!r}")
-    header.append(f"q_from_fit = {fit.q!r}")
-    if fit.warning:
-        header.append(f"fit_warning = {fit.warning}")
+    header.append(f"c0 = {summary.c0!r}")
+    header.append(f"tau_c_s = {summary.tau_c!r}")
+    header.append(f"q_from_fit = {summary.q!r}")
+    header.append(f"plateau = {summary.plateau!r}")
+    header.append(f"weight_ratio = {summary.weight_ratio!r}")
     Path(args.out).write_text(quantum.g2_csv(curve, header))
     manifest.write(str(args.out) + ".manifest.txt")
     return EXIT_OK
@@ -351,13 +351,19 @@ def cmd_pipeline(args) -> int:
     )
     g2_csv_path.write_text(correlator.g2_estimate_csv(est, manifest.header_lines()))
     manifest.write(out_dir / "manifest.txt")
-    tau_line = (
-        f"theory tau_c {theory.tau_c:.4g} s vs fitted {fit.tau_c:.4g} s (z={z_tau:+.2f})"
-        if fit.tau_c is not None and z_tau is not None
+    theory_tau = (
+        f"theory tau_c {theory.tau_c:.4g} s"
+        if theory.tau_c is not None
+        else f"theory tau_c undefined (g2 weight ratio {theory.weight_ratio:.3g})"
+    )
+    fitted_tau = (
+        f"fitted {fit.tau_c:.4g} s"
+        if fit.tau_c is not None
         else "fitted curve is flat (no resolvable decay)"
     )
+    z_text = f"{z_tau:+.2f}" if z_tau is not None else "n/a"
     print(
-        f"pipeline: {tau_line}, theory Q {theory.q:+.4g} vs "
+        f"pipeline: {theory_tau} vs {fitted_tau} (z={z_text}), theory Q {theory.q:+.4g} vs "
         f"Q_from_C0 {q_est.q_from_c0:+.4g}"
     )
     return EXIT_OK
@@ -385,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("predict-g2", help="theoretical g2(tau) with fitted C0, tau_c, Q")
+    p = sub.add_parser("predict-g2", help="theoretical g2(tau) with spectral C0, tau_c, Q")
     add_common(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict_g2)

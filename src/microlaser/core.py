@@ -118,21 +118,6 @@ def injection_rate(cfg: MicrolaserConfig) -> float:
     return cfg.n_atoms_mean / interaction_time(cfg.v0, cfg.mode_waist)
 
 
-def mean_interaction_time(cfg: MicrolaserConfig, dist: "VelocityDistribution") -> float:
-    """Velocity-averaged transit time sum_j w_j t_int(v_j)."""
-    return float(dist.weights @ (SQRT_PI * cfg.mode_waist / dist.velocities))
-
-
-def injection_rate_mean_transit(cfg: MicrolaserConfig, dist: "VelocityDistribution") -> float:
-    """Alternate pump normalization r = <N> / <t_int>.
-
-    With a velocity spread, reading <N> as rate times the *averaged* transit
-    time rescales the pump by E[v0/v] relative to ``injection_rate``. Exposed
-    for side-by-side comparisons of pump calibrations; not used internally.
-    """
-    return cfg.n_atoms_mean / mean_interaction_time(cfg, dist)
-
-
 def beta(k, v: float, cfg: MicrolaserConfig):
     """Single-atom emission probability sin^2(sqrt(k) g0 t_int(v)).
 

@@ -1,7 +1,8 @@
 """Weighted least-squares fit of the decay model y = 1 + C0 exp(-tau/tau_c).
 
-Used both for theory curves (uniform weights) and for measured correlation
-estimates (per-bin Poisson sigmas). The solver is a damped Gauss-Newton
+Serves measured correlation estimates only, weighted by their per-bin
+Poisson sigmas; theory curves are summarized from their spectrum instead
+(``quantum.q_and_tau_from_g2``). The solver is a damped Gauss-Newton
 iteration seeded by a log-linear regression of |y - 1|.
 """
 
@@ -42,13 +43,9 @@ class ExpFit:
         return float(np.sqrt(self.cov[1, 1])) if self.cov is not None else None
 
 
-def _initial_guess(tau, dev, sigma, weights_known):
+def _initial_guess(tau, dev, sigma):
     """(c0, tau_c) from weighted linear regression of log|y-1| against tau."""
-    if weights_known:
-        usable = np.abs(dev) > 2.0 * sigma
-    else:
-        usable = np.abs(dev) > 1e-2 * np.max(np.abs(dev))
-    usable &= np.abs(dev) > 0.0
+    usable = np.abs(dev) > 2.0 * sigma
     if usable.sum() < 3:
         usable = np.abs(dev) > 0.0
     t = tau[usable]
@@ -71,18 +68,17 @@ def _initial_guess(tau, dev, sigma, weights_known):
     return c0, float(tau_c)
 
 
-def fit_exp_decay(tau, y, sigma=None, max_iterations: int = MAX_ITERATIONS) -> ExpFit:
+def fit_exp_decay(tau, y, sigma, max_iterations: int = MAX_ITERATIONS) -> ExpFit:
     """Fit y = 1 + C0 exp(-tau/tau_c) by damped Gauss-Newton.
 
     Parameters
     ----------
     tau, y : array_like
         Sample positions and values.
-    sigma : array_like, optional
-        Per-point standard deviations. When given, points are weighted by
-        1/sigma^2 and the covariance is taken directly from the Jacobian;
-        when omitted, uniform weights are used and the covariance is scaled
-        by the residual variance.
+    sigma : array_like
+        Per-point standard deviations. Points are weighted by 1/sigma^2 and
+        the covariance is taken directly from the Jacobian. A curve with no
+        point beyond 2 sigma of 1 is reported as flat.
 
     Raises FitConvergenceError (carrying the last iterate) if the damping
     cannot rescue the iteration within ``max_iterations``.
@@ -93,31 +89,22 @@ def fit_exp_decay(tau, y, sigma=None, max_iterations: int = MAX_ITERATIONS) -> E
         raise ValueError("tau and y must be matching 1-d arrays")
     if tau.size < 3:
         raise ValueError("need at least 3 points to fit two parameters")
-    weights_known = sigma is not None
-    if weights_known:
-        sigma = np.asarray(sigma, dtype=float)
-        if sigma.shape != tau.shape:
-            raise ValueError("sigma must match tau")
-        if np.any(sigma <= 0.0):
-            raise ValueError("sigma entries must be positive")
-    else:
-        sigma = np.ones_like(tau)
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != tau.shape:
+        raise ValueError("sigma must match tau")
+    if np.any(sigma <= 0.0):
+        raise ValueError("sigma entries must be positive")
 
     dev = y - 1.0
     dof = max(tau.size - 2, 1)
-    flat = (
-        not np.any(np.abs(dev) > 2.0 * sigma)
-        if weights_known
-        else not np.any(np.abs(dev) > 0.0)
-    )
-    if flat:
+    if not np.any(np.abs(dev) > 2.0 * sigma):
         chi2 = float(((dev / sigma) ** 2).sum()) / dof
         return ExpFit(
             c0=0.0, tau_c=None, cov=None, chi2_reduced=chi2,
             n_points=tau.size, iterations=0, flat=True,
         )
 
-    c0, tau_c = _initial_guess(tau, dev, sigma, weights_known)
+    c0, tau_c = _initial_guess(tau, dev, sigma)
 
     def cost_and_jac(c0_, tau_c_):
         e = np.exp(-tau / tau_c_)
@@ -185,12 +172,7 @@ def fit_exp_decay(tau, y, sigma=None, max_iterations: int = MAX_ITERATIONS) -> E
     a11 = float(j1 @ j1)
     det = a00 * a11 - a01 * a01
     chi2_red = cost / dof
-    if det > 0.0:
-        cov = np.array([[a11, -a01], [-a01, a00]]) / det
-        if not weights_known:
-            cov = cov * chi2_red
-    else:
-        cov = None
+    cov = np.array([[a11, -a01], [-a01, a00]]) / det if det > 0.0 else None
     return ExpFit(
         c0=float(c0), tau_c=float(tau_c), cov=cov, chi2_reduced=float(chi2_red),
         n_points=tau.size, iterations=iterations,

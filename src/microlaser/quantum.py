@@ -32,7 +32,6 @@ from .core import (
     interaction_time,
 )
 from .errors import TruncationError
-from .fitting import ExpFit, fit_exp_decay
 
 N_MAX_CAP = 8192
 N_MAX_FLOOR = 32
@@ -43,6 +42,12 @@ BEYOND_TRUNCATION_LIMIT = 1e-12
 # of everything cut away must stay below OUTFLUX_LIMIT in g2.
 SPECTRAL_FLOOR = 1e-20
 OUTFLUX_LIMIT = 1e-10
+# A block eigenvalue within STATIONARY_RATE_TOL * max |lambda| of zero is a
+# stationary mode: besides the one of every block, a valley inside a block
+# that photons cross slower than eigh can resolve leaves a second one.
+STATIONARY_RATE_TOL = 1e-12
+# Below this |sum w| / sum |w| the decaying g2 weights cancel and tau_c is None.
+WEIGHT_RATIO_LIMIT = 0.5
 DEFAULT_TAU_POINTS = 200
 DEFAULT_TAU_SPAN_LIFETIMES = 5.0
 
@@ -199,21 +204,34 @@ def build_generator(
 
 @dataclass(frozen=True)
 class G2Curve:
-    """Theoretical g2(tau) samples with the configuration fingerprint."""
+    """Theoretical g2(tau) samples, their spectrum and the configuration fingerprint.
+
+    g2(tau) - 1 = plateau + sum_k weights[k] exp(rates[k] tau): ``rates`` are
+    the (negative) eigenvalues of the decaying modes and ``plateau`` is
+    g2(infinity) - 1, which is nonzero only when the steady state splits
+    into parts that exchange photons too slowly to resolve.
+    """
 
     tau: np.ndarray
     values: np.ndarray
     config_hash: str
+    rates: np.ndarray
+    weights: np.ndarray
+    plateau: float
 
     def __post_init__(self):
         tau = np.asarray(self.tau, dtype=float)
         values = np.asarray(self.values, dtype=float)
+        rates = np.asarray(self.rates, dtype=float)
+        weights = np.asarray(self.weights, dtype=float)
         if tau.shape != values.shape or tau.ndim != 1:
             raise ValueError("tau and values must be matching 1-d arrays")
-        tau.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "values", values)
+        if rates.shape != weights.shape or rates.ndim != 1:
+            raise ValueError("rates and weights must be matching 1-d arrays")
+        for name, arr in (("tau", tau), ("values", values), ("rates", rates),
+                          ("weights", weights)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 def default_tau_grid(cfg: MicrolaserConfig, n_points: int = DEFAULT_TAU_POINTS) -> np.ndarray:
@@ -244,6 +262,11 @@ def g2_regression(
     with off-diagonal sqrt(birth_n death_{n+1}). One ``eigh`` S = U L U^T per
     block gives sum_m m W_m(tau) = sum_k a_k b_k exp(lambda_k tau) with
     a = U^T (n sqrt(P)) and b = U^T (W(0) / sqrt(P)), for any tau grid.
+    Each block's stationary mode, sqrt(P) with lambda = 0, is taken
+    analytically; with the modes that eigh cannot tell from lambda = 0 (see
+    STATIONARY_RATE_TOL) it makes up the plateau g2(infinity) - 1. All other
+    eigenpairs are returned as the decaying ``rates`` and ``weights``, from
+    a and b with the stationary mode projected out.
 
     The cut is checked on the full basis: the block solution at tau = 0 and
     at the largest tau is padded with zeros and sent through the full
@@ -272,6 +295,8 @@ def g2_regression(
     kept = probs > SPECTRAL_FLOOR * probs.max()
     correlator = np.zeros(taus.size)
     w_end = np.zeros(probs.size)
+    stationary = 0.0
+    rates, weights = [], []
     for lo, hi in _runs(kept):
         birth = gen.birth[lo:hi].copy()
         death = gen.death[lo:hi].copy()
@@ -287,8 +312,22 @@ def g2_regression(
         a = (n[lo:hi] * root_p) @ u
         b = (w0[lo:hi] / root_p) @ u
         w_end[lo:hi] = root_p * (u @ (np.exp(lam * tau_max) * b))
+        # The stationary mode sqrt(P) is known exactly: its term is the block
+        # mean of n times the block's W(0), and it is projected out of a and
+        # b for the other modes, which eigh blends with it when one is slow.
+        mass = probs[lo:hi].sum()
+        block_n = float(n[lo:hi] @ probs[lo:hi]) / mass
+        block_w0 = float(w0[lo:hi].sum())
+        ab = (((n[lo:hi] - block_n) * root_p) @ u) * (
+            (w0[lo:hi] / root_p - (block_w0 / mass) * root_p) @ u
+        )
         del u
         correlator += np.exp(np.outer(taus, lam)) @ (a * b)
+        # eigh sorts ascending, so lam[0] sets the scale of its rounding error
+        zero = lam >= STATIONARY_RATE_TOL * lam[0]
+        stationary += block_n * block_w0 + float(ab[zero].sum())
+        rates.append(lam[~zero])
+        weights.append(ab[~zero])
 
     outside = ~kept
     leak = max(
@@ -303,53 +342,56 @@ def g2_regression(
             f"(P_n <= {SPECTRAL_FLOOR:.0e} max P) would change g2 by up to "
             f"{bound:.3e} (limit {OUTFLUX_LIMIT:.0e})"
         )
-    values = correlator / (n_mean * n_mean)
-    return G2Curve(tau=taus, values=values, config_hash=config_fingerprint(cfg, dist))
+    norm = n_mean * n_mean
+    return G2Curve(
+        tau=taus,
+        values=correlator / norm,
+        config_hash=config_fingerprint(cfg, dist),
+        rates=np.concatenate(rates),
+        weights=np.concatenate(weights) / norm,
+        plateau=float(stationary / norm - 1.0),
+    )
 
 
 @dataclass(frozen=True)
-class G2FitResult:
-    """Exponential-decay summary of a g2 curve: g2 = 1 + c0 exp(-tau/tau_c)."""
+class G2Summary:
+    """c0 = g2(0) - 1, the correlation time and Q read off a g2 spectrum.
+
+    ``tau_c`` is None where no single time describes the curve: when the
+    decaying weights cancel (``weight_ratio`` below WEIGHT_RATIO_LIMIT), as at
+    a Q = 0 crossing, or when their integral has the opposite sign to their
+    sum, so that g2 crosses its plateau.
+    """
 
     c0: float
     tau_c: float | None
     q: float
-    fit: ExpFit
-    warning: str | None = None
+    plateau: float
+    weight_ratio: float
 
 
-def q_and_tau_from_g2(curve: G2Curve, n_mean: float) -> G2FitResult:
-    """Fit 1 + C0 exp(-tau/tau_c) to a theory curve; Q = C0 * <n>.
+def q_and_tau_from_g2(curve: G2Curve, n_mean: float) -> G2Summary:
+    """c0, tau_c and Q = c0 <n> from the spectrum of a theory curve.
 
-    Theory curves are mildly multi-exponential; a fit-quality warning is
-    attached when the decay envelope is visibly non-monotone or the grid
-    spans fewer than three fitted decay times, but the fit still proceeds.
+    c0 = plateau + sum w is g2(0) - 1 on any tau grid. tau_c is the
+    integrated time of the decaying modes, sum (w / |lambda|) / sum w, which
+    equals the decay time of a single exponential; it is reported only while
+    |sum w| / sum |w| >= WEIGHT_RATIO_LIMIT and it comes out positive.
     """
     if n_mean <= 0.0:
         raise ValueError(f"n_mean must be positive, got {n_mean}")
-    if curve.tau.size < 10:
-        raise ValueError("need at least 10 g2 samples to fit")
-    fit = fit_exp_decay(curve.tau, curve.values)
-    warning = None
-    dev = np.abs(curve.values - 1.0)
-    peak = dev.max()
-    if peak > 0.0:
-        half = dev[curve.tau > 0.5 * curve.tau[-1]]
-        if half.size >= 4:
-            rough = np.diff(half)
-            growth = rough[rough > 1e-3 * peak]
-            if growth.size > half.size // 4:
-                warning = "g2 deviation from 1 is non-monotone at large tau"
-    if fit.tau_c is not None and curve.tau[-1] < 3.0 * fit.tau_c:
-        warning = (warning + "; " if warning else "") + (
-            "tau grid spans fewer than 3 fitted decay times"
-        )
-    return G2FitResult(
-        c0=fit.c0,
-        tau_c=fit.tau_c,
-        q=fit.c0 * n_mean,
-        fit=fit,
-        warning=warning,
+    w = curve.weights
+    total = float(w.sum())
+    spread = float(np.abs(w).sum())
+    ratio = abs(total) / spread if spread > 0.0 else 0.0
+    tau_c = None
+    if ratio >= WEIGHT_RATIO_LIMIT:
+        tau_int = float((w / np.abs(curve.rates)).sum()) / total
+        if tau_int > 0.0:  # else slow modes of the other sign dominate: g2 crosses its plateau
+            tau_c = tau_int
+    c0 = curve.plateau + total
+    return G2Summary(
+        c0=c0, tau_c=tau_c, q=c0 * n_mean, plateau=curve.plateau, weight_ratio=ratio,
     )
 
 
@@ -385,13 +427,6 @@ def validity_check(
         threshold=threshold,
         questionable=ratio > threshold,
     )
-
-
-def distribution_csv(p: PhotonDistribution, header_lines=()) -> str:
-    lines = [f"# {line}" for line in header_lines]
-    lines.append("n,probability")
-    lines.extend(f"{n},{prob:.17g}" for n, prob in enumerate(p.probabilities))
-    return "\n".join(lines) + "\n"
 
 
 def g2_csv(curve: G2Curve, header_lines=()) -> str:

@@ -126,44 +126,3 @@ def read_stream(path) -> TimestampStream:
     if head.startswith(MAGIC + b" "):
         return read_mlts1(path)
     return read_timestamps_csv(path)
-
-
-def apply_dead_time(stream: TimestampStream, dead_time: float) -> TimestampStream:
-    """Non-paralyzable dead-time filter (default-off detector artifact model)."""
-    if dead_time < 0.0:
-        raise ValueError(f"dead_time must be >= 0, got {dead_time}")
-    if dead_time == 0.0 or stream.count == 0:
-        return stream
-    kept = []
-    last = -np.inf
-    for t in stream.times:
-        if t - last >= dead_time:
-            kept.append(t)
-            last = t
-    return TimestampStream(
-        times=np.asarray(kept), channel=stream.channel, duration=stream.duration
-    )
-
-
-def apply_afterpulsing(
-    stream: TimestampStream,
-    probability: float,
-    delay: float,
-    seed: int,
-) -> TimestampStream:
-    """Inject spurious echo detections (default-off detector artifact model).
-
-    Each real event spawns one extra timestamp at a fixed ``delay`` with the
-    given probability; echoes past the acquisition window are dropped.
-    """
-    if not (0.0 <= probability <= 1.0):
-        raise ValueError(f"probability must be in [0, 1], got {probability}")
-    if delay <= 0.0:
-        raise ValueError(f"delay must be positive, got {delay}")
-    if probability == 0.0 or stream.count == 0:
-        return stream
-    rng = np.random.default_rng(seed)
-    echoes = stream.times[rng.random(stream.count) < probability] + delay
-    echoes = echoes[echoes <= stream.duration]
-    merged = np.sort(np.concatenate([stream.times, echoes]))
-    return TimestampStream(times=merged, channel=stream.channel, duration=stream.duration)

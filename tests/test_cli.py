@@ -83,6 +83,10 @@ def test_predict_g2_antibunched(tmp_path, scaled_cfg_file):
     header = header_lines(out)
     c0 = float(next(l for l in header if "c0 =" in l).split("=")[1])
     assert c0 < 0.0  # photon-number stabilization: antibunching
+    values = dict(l[2:].split(" = ", 1) for l in header if " = " in l)
+    assert abs(float(values["plateau"])) < 1e-12
+    assert 0.5 <= float(values["weight_ratio"]) <= 1.0
+    assert "fit_warning" not in values
     rows = body_lines(out)
     assert rows[0] == "tau_seconds,g2"
     data = np.array([[float(x) for x in r.split(",")] for r in rows[1:]])
@@ -256,6 +260,26 @@ def test_pipeline_end_to_end(tmp_path, scaled_cfg_file, capsys):
     for name in ("ch1.mlts1", "ch2.mlts1", "g2.csv", "manifest.txt"):
         assert (out_dir / name).exists()
     assert "pipeline:" in capsys.readouterr().out
+
+
+def test_pipeline_names_the_side_without_tau_c(tmp_path, capsys):
+    # At the Q = 0 crossing the theory g2 weights cancel, so the theory has no
+    # tau_c while the measured fit still has one.
+    cfg = tmp_path / "cross.cfg"
+    cfg.write_text(SCALED_CFG.replace("n_atoms_mean = 4.2", "n_atoms_mean = 1.5"))
+    out_dir = tmp_path / "pipe"
+    assert main(["pipeline", "--config", str(cfg), "--duration-s", "0.01", "--seed", "2",
+                 "--out-dir", str(out_dir)]) == 0
+    entries = dict(
+        l.split(" = ", 1) for l in (out_dir / "report.txt").read_text().splitlines()
+        if " = " in l and not l.startswith("#")
+    )
+    assert entries["tau_c_theory_s"] == "None"
+    assert entries["z_tau_c"] == "None"
+    assert float(entries["tau_c_s"]) > 0.0
+    out = capsys.readouterr().out
+    assert "theory tau_c undefined" in out
+    assert "flat" not in out
 
 
 def test_exit_code_config_error(tmp_path):

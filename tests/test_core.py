@@ -154,22 +154,6 @@ def test_injection_rate_uses_v0(published_cfg):
     assert r == pytest.approx(158.0 / T_INT_PUBLISHED, rel=1e-12)
 
 
-def test_alternate_pump_convention(published_cfg, published_dist):
-    from microlaser.core import injection_rate_mean_transit, mean_interaction_time
-
-    # averaging the transit time weights slow atoms more, so the alternate
-    # normalization lowers the rate by E[v0/v] > 1 for a symmetric spread
-    t_mean = mean_interaction_time(published_cfg, published_dist)
-    assert t_mean > T_INT_PUBLISHED
-    r_alt = injection_rate_mean_transit(published_cfg, published_dist)
-    r_v0 = injection_rate(published_cfg)
-    assert r_alt == pytest.approx(r_v0 * T_INT_PUBLISHED / t_mean, rel=1e-12)
-    assert 0.9 < r_alt / r_v0 < 1.0
-    # both agree for a delta distribution
-    delta = VelocityDistribution.delta(750.0)
-    assert injection_rate_mean_transit(published_cfg, delta) == pytest.approx(r_v0, rel=1e-12)
-
-
 def test_config_validation_errors():
     good = dict(g0=1.0, gamma_c=1.0, mode_waist=1e-5, v0=700.0, n_atoms_mean=1.0)
     MicrolaserConfig(**good)

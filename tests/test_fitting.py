@@ -12,7 +12,7 @@ def model(tau, c0, tau_c):
 def test_noiseless_recovery_decay():
     tau = np.linspace(0.0, 10e-6, 200)
     y = model(tau, 0.002, 1e-6)
-    fit = fit_exp_decay(tau, y)
+    fit = fit_exp_decay(tau, y, sigma=np.full_like(tau, 1e-4))
     assert fit.c0 == pytest.approx(0.002, rel=1e-9)
     assert fit.tau_c == pytest.approx(1e-6, rel=1e-9)
     assert fit.chi2_reduced < 1e-18
@@ -81,7 +81,7 @@ def test_nonconvergence_carries_last_iterate():
     rng = np.random.default_rng(5)
     y = model(tau, 0.5, 2.0) + 0.01 * rng.standard_normal(50)
     with pytest.raises(FitConvergenceError) as excinfo:
-        fit_exp_decay(tau, y, max_iterations=1)
+        fit_exp_decay(tau, y, np.full_like(tau, 0.01), max_iterations=1)
     assert excinfo.value.last_iterate is not None
     c0, tau_c = excinfo.value.last_iterate
     assert np.isfinite(c0) and np.isfinite(tau_c)
@@ -89,9 +89,11 @@ def test_nonconvergence_carries_last_iterate():
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        fit_exp_decay(np.arange(2.0), np.ones(2))
+        fit_exp_decay(np.arange(2.0), np.ones(2), np.ones(2))
     with pytest.raises(ValueError):
-        fit_exp_decay(np.arange(5.0), np.ones(4))
+        fit_exp_decay(np.arange(5.0), np.ones(4), np.ones(5))
+    with pytest.raises(ValueError):
+        fit_exp_decay(np.arange(5.0), np.ones(5), np.ones(4))
     with pytest.raises(ValueError):
         fit_exp_decay(np.arange(5.0), np.ones(5), sigma=np.zeros(5))
 
@@ -99,6 +101,6 @@ def test_input_validation():
 def test_bunching_curve_recovery():
     tau = np.linspace(0.0, 20.0, 300)
     y = model(tau, 0.05, 3.0)
-    fit = fit_exp_decay(tau, y)
+    fit = fit_exp_decay(tau, y, sigma=np.full_like(tau, 1e-9))
     assert fit.c0 == pytest.approx(0.05, rel=1e-8)
     assert fit.tau_c == pytest.approx(3.0, rel=1e-8)

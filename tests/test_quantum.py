@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from microlaser.core import (
     TWO_PI,
@@ -18,7 +20,6 @@ from microlaser.quantum import (
     PhotonDistribution,
     build_generator,
     default_n_max,
-    distribution_csv,
     g2_csv,
     g2_regression,
     q_and_tau_from_g2,
@@ -29,16 +30,16 @@ from conftest import random_config
 
 # Frozen regression constants for the published configuration. Moments were
 # cross-checked against a 40-digit mpmath evaluation of the product-form
-# steady state; the g2 fits are deterministic outputs of the regression plus
-# the shared exponential fit.
+# steady state; the g2 summaries are read off the spectrum of the regression,
+# and their tau_c agrees with the flux-balance oracle below to 1e-13.
 PUBLISHED_N_MEAN = 549.37682540909871
 PUBLISHED_MANDEL_Q = -0.60668516047507952
-PUBLISHED_G2_C0 = -0.0011037314479142046
-PUBLISHED_G2_TAU = 4.171350287146086e-07
-PUBLISHED_G2_Q = -0.6063644789592944
-BUNCHED_G2_C0 = 0.004176381728352489
-BUNCHED_G2_TAU = 1.5838859538522009e-06
-BUNCHED_G2_Q = 0.46654964845908015
+PUBLISHED_G2_C0 = -0.0011043151665947612
+PUBLISHED_G2_TAU = 4.1704130121810827e-07
+PUBLISHED_G2_Q = -0.6066851604749506
+BUNCHED_G2_C0 = 0.004171069958993023
+BUNCHED_G2_TAU = 1.5846299531645143e-06
+BUNCHED_G2_Q = 0.46595626301480186
 
 
 def poisson_distribution(mean, size):
@@ -293,11 +294,15 @@ def test_g2_undefined_for_empty_field(published_cfg, published_dist):
 def test_g2_fit_exact_exponential_input():
     tau = np.linspace(0.0, 10e-6, 200)
     c0, tau_c = 0.002, 1e-6
-    curve = G2Curve(tau=tau, values=1.0 + c0 * np.exp(-tau / tau_c), config_hash="x")
+    curve = G2Curve(
+        tau=tau, values=1.0 + c0 * np.exp(-tau / tau_c), config_hash="x",
+        rates=np.array([-1.0 / tau_c]), weights=np.array([c0]), plateau=0.0,
+    )
     res = q_and_tau_from_g2(curve, n_mean=100.0)
-    assert res.c0 == pytest.approx(c0, rel=1e-9)
-    assert res.tau_c == pytest.approx(tau_c, rel=1e-9)
-    assert res.q == pytest.approx(c0 * 100.0, rel=1e-9)
+    assert res.c0 == pytest.approx(c0, rel=1e-15)
+    assert res.tau_c == pytest.approx(tau_c, rel=1e-15)
+    assert res.q == pytest.approx(c0 * 100.0, rel=1e-15)
+    assert res.weight_ratio == 1.0
 
 
 def test_g2_fit_published_antibunching(published_cfg, published_dist):
@@ -320,19 +325,120 @@ def test_g2_fit_threshold_bunching(published_cfg, published_dist):
     assert res.c0 > 0.0
     assert res.c0 == pytest.approx(BUNCHED_G2_C0, rel=1e-6)
     assert res.tau_c == pytest.approx(BUNCHED_G2_TAU, rel=1e-6)
+    assert res.q == pytest.approx(BUNCHED_G2_Q, rel=1e-6)
     assert res.tau_c * cfg.gamma_c > 1.0
 
 
-def test_g2_fit_requires_enough_points():
+def test_g2_summary_rejects_empty_field():
     tau = np.linspace(0.0, 1e-6, 5)
-    curve = G2Curve(tau=tau, values=np.ones(5), config_hash="x")
+    curve = G2Curve(tau=tau, values=np.ones(5), config_hash="x",
+                    rates=np.array([-1e6]), weights=np.array([0.0]), plateau=0.0)
     with pytest.raises(ValueError):
-        q_and_tau_from_g2(curve, 10.0)
+        q_and_tau_from_g2(curve, 0.0)
     with pytest.raises(ValueError):
-        q_and_tau_from_g2(
-            G2Curve(tau=np.linspace(0, 1e-6, 20), values=np.ones(20), config_hash="x"),
-            0.0,
-        )
+        G2Curve(tau=tau, values=np.ones(5), config_hash="x",
+                rates=np.array([-1e6, -2e6]), weights=np.array([0.0]), plateau=0.0)
+
+
+def flux_balance_integral(cfg, dist):
+    """Oracle for the integral of g2 - 1 over tau on a single kept block.
+
+    Solves A x = -(W(0) - <n> P) without the spectrum: the net up-flux
+    J_n = birth_n x_n - death_{n+1} x_{n+1} is the prefix sum of the source,
+    and with x = P y detailed balance gives y_{n+1} = y_n - J_n / (birth_n P_n).
+    The sum of x is fixed to 0, and the integral is sum n x_n / <n>^2.
+    """
+    p = steady_state(cfg, dist)
+    gen = build_generator(cfg, dist, n_max=p.n_max)
+    probs = p.probabilities
+    (lo, hi), = quantum._runs(probs > quantum.SPECTRAL_FLOOR * probs.max())
+    n = np.arange(lo, hi, dtype=float)
+    pk = probs[lo:hi]
+    source = (n + 1.0) * probs[lo + 1:hi + 1] - p.mean * pk
+    flux = np.cumsum(source)[:-1]
+    y = np.concatenate(([0.0], -np.cumsum(flux / (gen.birth[lo:hi - 1] * pk[:-1]))))
+    x = pk * (y - (pk @ y) / pk.sum())
+    return float(n @ x) / p.mean**2
+
+
+@pytest.mark.parametrize("point, n_atoms", [
+    ("published", 158.0), ("published", 12.0),
+    ("scaled", 4.2), ("scaled", 0.5), ("scaled", 1.0), ("scaled", 20.0),
+])
+def test_g2_tau_c_matches_flux_balance_oracle(point, n_atoms, request):
+    cfg = request.getfixturevalue(f"{point}_cfg").with_n_atoms(n_atoms)
+    dist = request.getfixturevalue(f"{point}_dist")
+    p = steady_state(cfg, dist)
+    res = q_and_tau_from_g2(g2_regression(cfg, dist), p.mean)
+    assert abs(res.plateau) < 1e-13
+    assert res.tau_c * (res.c0 - res.plateau) == pytest.approx(
+        flux_balance_integral(cfg, dist), rel=1e-10)
+
+
+# random_config seeds: a Q = 0 crossing (weights cancel); a slow mode whose
+# sign is opposite to the fast ones (g2 crosses its plateau); a bistable
+# block whose switching mode (|lambda| ~ 1e-6 Gamma_c) eigh blends with the
+# stationary one; and a single kept block with a valley that photons cross
+# at |lambda| ~ 1e-11 Gamma_c, which eigh cannot tell from a second zero mode.
+CROSSING_SEED, SIGN_CHANGE_SEED, BISTABLE_SEED, VALLEY_SEED = 13, 40, 4, 10
+
+
+@pytest.mark.parametrize("n_atoms", [31.5, 32.0, 32.5, 33.0, 33.5, 34.0, 34.5, None])
+def test_g2_plateau_matches_ode_reference(n_atoms, scaled_cfg, scaled_dist):
+    # Two blocks (scaled config at <N> = 31.5-34.5) or a valley inside one
+    # block: g2 levels off above 1 instead of decaying to it.
+    cfg, dist = (
+        random_config(np.random.default_rng(VALLEY_SEED)) if n_atoms is None
+        else (scaled_cfg.with_n_atoms(n_atoms), scaled_dist)
+    )
+    p = steady_state(cfg, dist)
+    res = q_and_tau_from_g2(g2_regression(cfg, dist), p.mean)
+    assert res.plateau > 1e-4
+    assert res.tau_c is not None and 0.0 < res.tau_c * cfg.gamma_c < 1.0
+    late = np.array([0.0, 50.0 / cfg.gamma_c])
+    assert ode_g2(cfg, dist, late)[-1] - 1.0 == pytest.approx(res.plateau, abs=1e-10)
+
+
+def test_g2_crossing_has_no_tau_c(scaled_cfg, scaled_dist):
+    # Q = 0 crossing: the decaying weights have mixed signs and cancel.
+    cfg = scaled_cfg.with_n_atoms(1.5)
+    p = steady_state(cfg, scaled_dist)
+    curve = g2_regression(cfg, scaled_dist)
+    res = q_and_tau_from_g2(curve, p.mean)
+    assert res.weight_ratio < quantum.WEIGHT_RATIO_LIMIT
+    assert res.tau_c is None
+    assert res.c0 == pytest.approx(curve.values[0] - 1.0, abs=1e-15)
+    assert res.c0 == pytest.approx(p.mandel_q / p.mean, rel=1e-8)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(config_seed=st.integers(0, 2**32 - 1))
+@example(config_seed=CROSSING_SEED)
+@example(config_seed=SIGN_CHANGE_SEED)
+@example(config_seed=BISTABLE_SEED)
+@example(config_seed=VALLEY_SEED)
+def test_g2_summary_properties_random_configs(config_seed):
+    cfg, dist = random_config(np.random.default_rng(config_seed))
+    p = steady_state(cfg, dist)
+    curve = g2_regression(cfg, dist, tau_grid=np.array([0.0]))
+    res = q_and_tau_from_g2(curve, p.mean)
+    w, rates = curve.weights, curve.rates
+    scale = np.abs(w).sum() + abs(curve.plateau) + 1.0
+    assert res.c0 == pytest.approx(curve.values[0] - 1.0, abs=1e-14 * scale)
+    assert res.q == res.c0 * p.mean
+    assert 0.0 <= res.weight_ratio <= 1.0
+    assert np.all(rates < 0.0)
+    # g2(infinity) - 1 is the spread of the block means of n: never negative
+    assert res.plateau >= -1e-12
+    integral = float((w / -rates).sum())
+    if res.weight_ratio < quantum.WEIGHT_RATIO_LIMIT:
+        assert res.tau_c is None
+    elif res.tau_c is None:
+        # slow modes of the other sign outweigh the integral: g2 crosses its plateau
+        assert integral * w.sum() <= 0.0
+    else:
+        assert res.tau_c > 0.0
+        assert res.tau_c * w.sum() == pytest.approx(integral, rel=1e-12)
 
 
 def test_validity_check_published_ratio(published_cfg):
@@ -364,13 +470,6 @@ def test_validity_check_flags_small_fields(published_cfg):
 
 
 def test_csv_dumps_parse(scaled_cfg, scaled_dist, tmp_path):
-    p = steady_state(scaled_cfg, scaled_dist)
-    text = distribution_csv(p, header_lines=["origin = test"])
-    rows = [l for l in text.strip().splitlines() if not l.startswith("#")]
-    assert rows[0] == "n,probability"
-    values = np.array([float(r.split(",")[1]) for r in rows[1:]])
-    assert values.sum() == pytest.approx(1.0, abs=1e-12)
-
     curve = g2_regression(scaled_cfg, scaled_dist, tau_grid=np.linspace(0, 1e-6, 12))
     text = g2_csv(curve)
     rows = [l for l in text.strip().splitlines() if not l.startswith("#")]

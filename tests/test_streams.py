@@ -3,8 +3,6 @@ import pytest
 
 from microlaser.streams import (
     TimestampStream,
-    apply_afterpulsing,
-    apply_dead_time,
     read_mlts1,
     read_stream,
     read_timestamps_csv,
@@ -84,29 +82,3 @@ def test_read_stream_dispatches(tmp_path):
     write_timestamps_csv(stream, tmp_path / "a.csv")
     assert read_stream(tmp_path / "a.mlts1").count == 1
     assert read_stream(tmp_path / "a.csv").count == 1
-
-
-def test_dead_time_filter():
-    times = np.array([0.0, 10e-9, 25e-9, 26e-9, 60e-9])
-    stream = TimestampStream(times, 1, 1e-6)
-    filtered = apply_dead_time(stream, 15e-9)
-    assert filtered.times.tolist() == [0.0, 25e-9, 60e-9]
-    assert apply_dead_time(stream, 0.0) is stream
-    with pytest.raises(ValueError):
-        apply_dead_time(stream, -1.0)
-
-
-def test_afterpulsing_filter():
-    rng = np.random.default_rng(12)
-    times = np.sort(rng.uniform(0.0, 1e-3, 5000))
-    stream = TimestampStream(times, 1, 1e-3)
-    echoed = apply_afterpulsing(stream, probability=0.2, delay=50e-9, seed=3)
-    extra = echoed.count - stream.count
-    assert 0 < extra < stream.count
-    assert abs(extra - 0.2 * stream.count) < 5.0 * np.sqrt(0.2 * stream.count)
-    assert np.all(np.diff(echoed.times) >= 0.0)
-    assert apply_afterpulsing(stream, 0.0, 50e-9, seed=3) is stream
-    with pytest.raises(ValueError):
-        apply_afterpulsing(stream, 1.5, 50e-9, seed=3)
-    with pytest.raises(ValueError):
-        apply_afterpulsing(stream, 0.5, 0.0, seed=3)
