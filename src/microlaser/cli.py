@@ -314,9 +314,13 @@ def cmd_pipeline(args) -> int:
         write_mlts1(rec.stream2, out2)
 
         stage = "correlate"
+        # correlate the picosecond times as written, so that correlate-fit on
+        # the same files gives the same histogram
+        stream1 = read_stream(out1)
+        stream2 = read_stream(out2)
         bin_width = args.bin_ns * 1e-9
         window = args.window_us * 1e-6 if args.window_us else 5.0 / cfg.gamma_c
-        hist = correlator.correlate(rec.stream1, rec.stream2, bin_width, window)
+        hist = correlator.correlate(stream1, stream2, bin_width, window)
         est = correlator.normalize(hist)
 
         stage = "fit"

@@ -262,6 +262,30 @@ def test_pipeline_end_to_end(tmp_path, scaled_cfg_file, capsys):
     assert "pipeline:" in capsys.readouterr().out
 
 
+def test_pipeline_and_correlate_fit_agree_on_the_same_files(tmp_path, scaled_cfg_file):
+    # pipeline correlates the streams as it wrote them (integer picoseconds),
+    # so correlate-fit on its files reproduces its g2 and fit exactly
+    out_dir = tmp_path / "pipe"
+    window_us = f"{5.0 / GAMMA_C * 1e6!r}"
+    assert main(["pipeline", "--config", str(scaled_cfg_file),
+                 "--duration-s", f"{4000.0 / GAMMA_C!r}", "--seed", "402",
+                 "--window-us", window_us, "--out-dir", str(out_dir)]) == 0
+    report = tmp_path / "fit.txt"
+    g2_csv = tmp_path / "g2.csv"
+    assert main(["correlate-fit", str(out_dir / "ch1.mlts1"), str(out_dir / "ch2.mlts1"),
+                 "--window-us", window_us, "--out", str(report),
+                 "--g2-csv", str(g2_csv)]) == 0
+    assert body_lines(g2_csv) == body_lines(out_dir / "g2.csv")
+
+    def fit_lines(path):
+        keys = ("c0", "tau_c_s", "chi2_reduced", "n_bins_used",
+                "cov_c0_c0", "cov_c0_tau", "cov_tau_tau")
+        return [l for l in body_lines(path) if l.split(" = ", 1)[0] in keys]
+
+    assert len(fit_lines(report)) == 7
+    assert fit_lines(report) == fit_lines(out_dir / "report.txt")
+
+
 def test_pipeline_names_the_side_without_tau_c(tmp_path, capsys):
     # At the Q = 0 crossing the theory g2 weights cancel, so the theory has no
     # tau_c while the measured fit still has one.

@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from microlaser import correlator as correlator_module
 from microlaser.correlator import (
     CorrelationHistogram,
     NormalizationError,
@@ -95,6 +99,20 @@ def test_partition_merge_bit_identical():
     assert np.array_equal(interleaved.counts, whole.counts)
 
 
+def test_merge_rejects_parts_from_different_stop_streams():
+    rng = np.random.default_rng(19)
+    duration = 1.0
+    a = TimestampStream(np.sort(rng.uniform(0, duration, 500)), 1, duration)
+    b = TimestampStream(np.sort(rng.uniform(0, duration, 500)), 2, duration)
+    other = TimestampStream(np.sort(rng.uniform(0, duration, 700)), 2, duration)
+    first = TimestampStream(a.times[:250], 1, duration)
+    second = TimestampStream(a.times[250:], 1, duration)
+    with pytest.raises(ValueError, match="stop stream"):
+        merge_histograms([correlate(first, b, 1e-3, 1e-2), correlate(second, other, 1e-3, 1e-2)])
+    merged = merge_histograms([correlate(first, b, 1e-3, 1e-2), correlate(second, b, 1e-3, 1e-2)])
+    assert merged.rate2 == b.rate
+
+
 def test_internal_chunking_invariance():
     rng = np.random.default_rng(23)
     duration = 1.0
@@ -121,6 +139,54 @@ def test_pair_budget_batching_invariance(monkeypatch):
     assert whole.counts.sum() > 500_000  # the workload actually is dense
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    unit=st.sampled_from([1e-9, 0.25, 1.0 / 3.0, 7e-7, 0.1]),
+    bin_units=st.integers(1, 4),
+    n_bins=st.integers(1, 12),
+    half_bin=st.booleans(),
+    start_ticks=st.lists(st.integers(0, 200), max_size=30),
+    stop_ticks=st.lists(st.integers(50, 150), max_size=30),
+    edge_stops=st.booleans(),
+    chunk_size=st.sampled_from([1, 2, 3, 1 << 13]),
+    pair_batch=st.sampled_from([1, 2, 5, 1 << 17]),
+)
+@example(unit=1e-9, bin_units=1, n_bins=3, half_bin=False, start_ticks=[], stop_ticks=[],
+         edge_stops=False, chunk_size=1, pair_batch=1)
+@example(unit=1e-9, bin_units=1, n_bins=3, half_bin=False, start_ticks=[5, 9], stop_ticks=[],
+         edge_stops=False, chunk_size=1, pair_batch=1)
+@example(unit=1e-9, bin_units=1, n_bins=3, half_bin=False, start_ticks=[], stop_ticks=[60],
+         edge_stops=False, chunk_size=1, pair_batch=1)
+@example(unit=1.0 / 3.0, bin_units=3, n_bins=5, half_bin=False,
+         start_ticks=[0, 10, 60, 60, 120, 149, 150, 151, 200], stop_ticks=[60, 75, 150],
+         edge_stops=True, chunk_size=1, pair_batch=1)
+# a delay of exactly the reach whose float difference rounds into the last bin
+@example(unit=7e-7, bin_units=1, n_bins=3, half_bin=False, start_ticks=[62], stop_ticks=[],
+         edge_stops=True, chunk_size=1, pair_batch=1)
+def test_brute_force_parity_on_a_grid(
+    unit, bin_units, n_bins, half_bin, start_ticks, stop_ticks, edge_stops,
+    chunk_size, pair_batch,
+):
+    # Times on a grid of `unit` and bins a whole number of units wide put
+    # delays exactly on bin edges; stops copied from starts give zero delay,
+    # and edge stops sit at every edge from 0 to one bin past the reach.
+    # Starts reach past both ends of the stops, and chunk and pair batch go
+    # down to one.
+    starts = sorted(start_ticks)
+    stops = list(stop_ticks)
+    if edge_stops:
+        stops += starts
+        stops += [s + k * bin_units for s in starts[:5] for k in range(n_bins + 2)]
+    duration = 300 * unit
+    a = TimestampStream(np.array(starts, dtype=float) * unit, 1, duration)
+    b = TimestampStream(np.sort(np.array(stops, dtype=float)) * unit, 2, duration)
+    bin_width = bin_units * unit
+    window = (n_bins + 0.5 * half_bin) * bin_width
+    with mock.patch.object(correlator_module, "PAIR_BATCH", pair_batch):
+        h = correlate(a, b, bin_width, window, chunk_size=chunk_size)
+    assert np.array_equal(h.counts, brute_force_counts(a.times, b.times, bin_width, window))
+
+
 def test_correlate_validation():
     a = TimestampStream(np.array([0.0, 1e-6]), 1, 1.0)
     b = TimestampStream(np.array([0.0]), 2, 2.0)
@@ -131,6 +197,8 @@ def test_correlate_validation():
         correlate(a, b, 0.0, 1e-6)
     with pytest.raises(ValueError):
         correlate(a, b, 1e-6, 1e-9)
+    with pytest.raises(ValueError, match="chunk_size"):
+        correlate(a, b, 1e-9, 1e-6, chunk_size=0)
 
 
 def test_poisson_baseline_and_chi_square():
