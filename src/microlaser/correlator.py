@@ -110,12 +110,6 @@ class QEstimate:
     discrepancy: float | None
 
 
-def _check_sorted(times: np.ndarray, name: str) -> None:
-    bad = np.flatnonzero(np.diff(times) < 0.0)
-    if bad.size:
-        raise ValueError(f"{name} stream is unsorted; first inversion at index {bad[0] + 1}")
-
-
 def correlate(
     a: TimestampStream,
     b: TimestampStream,
@@ -138,8 +132,6 @@ def correlate(
         raise ValueError(
             f"streams must share an acquisition duration, got {a.duration} and {b.duration}"
         )
-    _check_sorted(a.times, "start")
-    _check_sorted(b.times, "stop")
 
     n_bins = math.ceil(window / bin_width - 1e-9)
     reach = np.nextafter(n_bins * bin_width, np.inf)

@@ -2,28 +2,35 @@
 
 Serves measured correlation estimates only, weighted by their per-bin
 Poisson sigmas; theory curves are summarized from their spectrum instead
-(``quantum.q_and_tau_from_g2``). The solver is a damped Gauss-Newton
-iteration seeded by a log-linear regression of |y - 1|.
+(``quantum.q_and_tau_from_g2``). The model is linear in C0, so C0 is profiled
+out in closed form and only log tau_c is searched, over a bounded range
+(variable projection: Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitConvergenceError
-
-MAX_ITERATIONS = 200
-PARAM_RTOL = 1e-10
+# log tau_c search: grid size, golden-section tolerance, longest tau_c in spans
+GRID_POINTS = 64
+LOG_TAU_TOL = 1e-13
+MAX_SPANS = 1e3
+INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
 class ExpFit:
     """Fitted amplitude and decay time with covariance.
 
-    ``tau_c`` is None for a flat curve (no resolvable signal, c0 = 0);
-    ``cov`` is the 2x2 covariance of (c0, tau_c) from the final Jacobian.
+    ``flat`` marks a curve with no resolvable decay: no point beyond 2 sigma
+    of 1, or a best tau_c at an end of the searched range (one sample
+    spacing or ``MAX_SPANS`` spans of tau). A flat fit has c0 = 0,
+    ``tau_c`` None and no covariance. Otherwise ``cov`` is the 2x2
+    covariance of (c0, tau_c) from the Jacobian at the optimum.
+    ``iterations`` counts evaluations of the profiled chi^2.
     """
 
     c0: float
@@ -43,45 +50,24 @@ class ExpFit:
         return float(np.sqrt(self.cov[1, 1])) if self.cov is not None else None
 
 
-def _initial_guess(tau, dev, sigma):
-    """(c0, tau_c) from weighted linear regression of log|y-1| against tau."""
-    usable = np.abs(dev) > 2.0 * sigma
-    if usable.sum() < 3:
-        usable = np.abs(dev) > 0.0
-    t = tau[usable]
-    d = dev[usable]
-    # var(log|d|) ~ (sigma/d)^2, so weight by (d/sigma)^2
-    w = (d / sigma[usable]) ** 2
-    logd = np.log(np.abs(d))
-    wsum = w.sum()
-    tm = (w * t).sum() / wsum
-    lm = (w * logd).sum() / wsum
-    stt = (w * (t - tm) ** 2).sum()
-    if stt > 0.0:
-        slope = (w * (t - tm) * (logd - lm)).sum() / stt
-    else:
-        slope = 0.0
-    span = tau.max() - tau.min()
-    tau_c = -1.0 / slope if slope < 0.0 else max(span / 3.0, np.finfo(float).tiny)
-    sign = 1.0 if (w * d).sum() >= 0.0 else -1.0
-    c0 = sign * float(np.exp(lm + slope * (0.0 - tm)))
-    return c0, float(tau_c)
-
-
-def fit_exp_decay(tau, y, sigma, max_iterations: int = MAX_ITERATIONS) -> ExpFit:
-    """Fit y = 1 + C0 exp(-tau/tau_c) by damped Gauss-Newton.
+def fit_exp_decay(tau, y, sigma) -> ExpFit:
+    """Fit y = 1 + C0 exp(-tau/tau_c) by a bounded search over tau_c.
 
     Parameters
     ----------
     tau, y : array_like
-        Sample positions and values.
+        Sample positions and values; tau needs two distinct values.
     sigma : array_like
         Per-point standard deviations. Points are weighted by 1/sigma^2 and
-        the covariance is taken directly from the Jacobian. A curve with no
-        point beyond 2 sigma of 1 is reported as flat.
+        the covariance is taken directly from the Jacobian.
 
-    Raises FitConvergenceError (carrying the last iterate) if the damping
-    cannot rescue the iteration within ``max_iterations``.
+    For each tau_c the amplitude is its weighted linear least-squares value,
+    taken at tau.min(), where the exponential is 1 for every tau_c. log
+    tau_c is searched on [log(smallest spacing), log(MAX_SPANS * span)]: a
+    ``GRID_POINTS`` grid, then golden section between the neighbours of the
+    best grid point down to ``LOG_TAU_TOL``. A decay shorter than one
+    spacing or slower than ``MAX_SPANS`` spans cannot be resolved, so a best
+    grid point on either end of the range is reported as flat.
     """
     tau = np.asarray(tau, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -97,83 +83,63 @@ def fit_exp_decay(tau, y, sigma, max_iterations: int = MAX_ITERATIONS) -> ExpFit
 
     dev = y - 1.0
     dof = max(tau.size - 2, 1)
-    if not np.any(np.abs(dev) > 2.0 * sigma):
+    evaluations = 0
+
+    def flat() -> ExpFit:
         chi2 = float(((dev / sigma) ** 2).sum()) / dof
         return ExpFit(
             c0=0.0, tau_c=None, cov=None, chi2_reduced=chi2,
-            n_points=tau.size, iterations=0, flat=True,
+            n_points=tau.size, iterations=evaluations, flat=True,
         )
 
-    c0, tau_c = _initial_guess(tau, dev, sigma)
+    if not np.any(np.abs(dev) > 2.0 * sigma):
+        return flat()
+    steps = np.diff(np.unique(tau))
+    if not steps.size:
+        raise ValueError("tau must take at least two distinct values")
 
-    def cost_and_jac(c0_, tau_c_):
-        e = np.exp(-tau / tau_c_)
-        resid = (y - 1.0 - c0_ * e) / sigma
-        j0 = -e / sigma
-        j1 = -(c0_ * tau * e) / (tau_c_ * tau_c_ * sigma)
-        return resid, j0, j1
+    t = tau - tau.min()
+    r = dev / sigma
 
-    resid, j0, j1 = cost_and_jac(c0, tau_c)
-    cost = float(resid @ resid)
-    lam = 1e-3
-    iterations = 0
-    converged = False
-    while iterations < max_iterations:
-        iterations += 1
-        a00 = float(j0 @ j0)
-        a01 = float(j0 @ j1)
-        a11 = float(j1 @ j1)
-        g0 = float(j0 @ resid)
-        g1 = float(j1 @ resid)
-        b00 = a00 * (1.0 + lam)
-        b11 = a11 * (1.0 + lam)
-        det = b00 * b11 - a01 * a01
-        if det <= 0.0 or not np.isfinite(det):
-            lam *= 10.0
-            if lam > 1e12:
-                break
-            continue
-        dc0 = -(b11 * g0 - a01 * g1) / det
-        dtau = -(b00 * g1 - a01 * g0) / det
-        c0_try = c0 + dc0
-        tau_try = tau_c + dtau
-        if tau_try <= 0.0 or not np.isfinite(tau_try):
-            lam *= 10.0
-            if lam > 1e12:
-                break
-            continue
-        resid_try, j0_try, j1_try = cost_and_jac(c0_try, tau_try)
-        cost_try = float(resid_try @ resid_try)
-        if cost_try <= cost:
-            rel = max(
-                abs(dc0) / max(abs(c0_try), np.finfo(float).tiny),
-                abs(dtau) / tau_try,
-            )
-            c0, tau_c = c0_try, tau_try
-            resid, j0, j1 = resid_try, j0_try, j1_try
-            cost = cost_try
-            lam = max(lam / 3.0, 1e-12)
-            if rel < PARAM_RTOL:
-                converged = True
-                break
+    def profile(log_tau_c):
+        """chi^2 and best amplitude at t = 0 for one tau_c."""
+        nonlocal evaluations
+        evaluations += 1
+        basis = np.exp(-t / math.exp(log_tau_c)) / sigma
+        amp = float(basis @ r) / float(basis @ basis)
+        resid = r - amp * basis
+        return float(resid @ resid), amp
+
+    grid = np.linspace(math.log(steps.min()), math.log(MAX_SPANS * t.max()), GRID_POINTS)
+    k = int(np.argmin([profile(x)[0] for x in grid]))
+    if k in (0, GRID_POINTS - 1):
+        return flat()
+    a, b = grid[k - 1], grid[k + 1]
+    c, d = b - INV_PHI * (b - a), a + INV_PHI * (b - a)
+    fc, fd = profile(c)[0], profile(d)[0]
+    while b - a > LOG_TAU_TOL:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - INV_PHI * (b - a)
+            fc = profile(c)[0]
         else:
-            lam *= 10.0
-            if lam > 1e12:
-                break
-    if not converged:
-        raise FitConvergenceError(
-            f"exponential fit did not converge in {iterations} iterations "
-            f"(last c0={c0:.6g}, tau_c={tau_c:.6g})",
-            last_iterate=(c0, tau_c),
-        )
+            a, c, fc = c, d, fd
+            d = a + INV_PHI * (b - a)
+            fd = profile(d)[0]
 
+    x = c if fc <= fd else d
+    cost, amp = profile(x)
+    tau_c = math.exp(x)
+    c0 = amp * math.exp(tau.min() / tau_c)
+    e = np.exp(-tau / tau_c)
+    j0 = -e / sigma
+    j1 = -(c0 * tau * e) / (tau_c * tau_c * sigma)
     a00 = float(j0 @ j0)
     a01 = float(j0 @ j1)
     a11 = float(j1 @ j1)
     det = a00 * a11 - a01 * a01
-    chi2_red = cost / dof
     cov = np.array([[a11, -a01], [-a01, a00]]) / det if det > 0.0 else None
     return ExpFit(
-        c0=float(c0), tau_c=float(tau_c), cov=cov, chi2_reduced=float(chi2_red),
-        n_points=tau.size, iterations=iterations,
+        c0=float(c0), tau_c=float(tau_c), cov=cov, chi2_reduced=cost / dof,
+        n_points=tau.size, iterations=evaluations,
     )

@@ -28,13 +28,16 @@ class TimestampStream:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1:
             raise ValueError("times must be a 1-d array")
-        if self.duration < 0.0:
+        # negated comparisons, so that NaN fails each check
+        if not self.duration >= 0.0:
             raise ValueError(f"duration must be >= 0, got {self.duration}")
         if t.size:
-            bad = np.flatnonzero(np.diff(t) < 0.0)
+            bad = np.flatnonzero(~(np.diff(t) >= 0.0))
             if bad.size:
-                raise ValueError(f"times must be nondecreasing; inversion at index {bad[0] + 1}")
-            if t[0] < 0.0 or t[-1] > self.duration:
+                raise ValueError(
+                    f"times must be nondecreasing and not NaN; violation at index {bad[0] + 1}"
+                )
+            if not (t[0] >= 0.0 and t[-1] <= self.duration):
                 raise ValueError("times must lie within [0, duration]")
         t.flags.writeable = False
         object.__setattr__(self, "times", t)

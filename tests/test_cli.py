@@ -306,6 +306,23 @@ def test_pipeline_names_the_side_without_tau_c(tmp_path, capsys):
     assert "flat" not in out
 
 
+def test_pipeline_reports_a_flat_fit_at_the_crossing(tmp_path, capsys):
+    # With seed 1 no decay is resolvable in 10 ms at the crossing: the fit is
+    # flat instead of running off to a spike shorter than one bin.
+    cfg = tmp_path / "cross.cfg"
+    cfg.write_text(SCALED_CFG.replace("n_atoms_mean = 4.2", "n_atoms_mean = 1.5"))
+    out_dir = tmp_path / "pipe"
+    assert main(["pipeline", "--config", str(cfg), "--duration-s", "0.01", "--seed", "1",
+                 "--out-dir", str(out_dir)]) == 0
+    entries = dict(
+        l.split(" = ", 1) for l in (out_dir / "report.txt").read_text().splitlines()
+        if " = " in l and not l.startswith("#")
+    )
+    assert entries["tau_c_s"] == "None"
+    assert float(entries["c0"]) == 0.0
+    assert "fitted curve is flat" in capsys.readouterr().out
+
+
 def test_exit_code_config_error(tmp_path):
     missing = tmp_path / "nope.cfg"
     assert main(["predict-g2", "--config", str(missing), "--out", str(tmp_path / "x")]) == 4

@@ -23,6 +23,23 @@ def test_stream_rejects_out_of_range():
         TimestampStream(np.array([2.0]), 1, 1.0)
 
 
+@pytest.mark.parametrize(
+    "times, duration",
+    [
+        ([0.1, np.nan, 0.3], 1.0),
+        ([np.nan, 0.1, 0.3], 1.0),
+        ([0.1, 0.3, np.nan], 1.0),
+        ([np.nan], 1.0),
+        ([0.1, 0.3], np.nan),
+        ([], np.nan),
+    ],
+    ids=["middle", "first", "last", "only", "duration", "empty-duration"],
+)
+def test_stream_rejects_nan(times, duration):
+    with pytest.raises(ValueError):
+        TimestampStream(np.array(times, dtype=float), 1, duration)
+
+
 def test_stream_allows_ties_and_empty():
     s = TimestampStream(np.array([0.5e-6, 0.5e-6]), 1, 1e-3)
     assert s.count == 2
