@@ -6,8 +6,14 @@ photons leaves one behind with the velocity-averaged probability
 beta_bar_{n+1}; by Poisson thinning the emissions alone are a Poisson process
 of rate r * beta_bar_{n+1}, so the chain steps up at that rate and down at
 Gamma_c * n. Waiting times are sampled exactly (no tau-leaping), with the
-random numbers drawn in fixed blocks. Each loss is recorded as a detection
-with the configured efficiency and routed to one of two detector channels.
+random numbers drawn in fixed blocks. As in Gillespie's direct method
+(J. Phys. Chem. 81, 2340 (1977)) the embedded jump chain decides the states
+and the holding times are drawn separately, so the two are split: one list
+comprehension walks the states, a few thousand uniforms at a time, and numpy
+then clocks those steps as a running sum of exponential holding times and
+cuts them at the end of the run (or raises if the chain reached the basis
+truncation before it). Each loss is recorded as a detection with the
+configured efficiency and routed to one of two detector channels.
 The atoms that pass without emitting are the complementary thinning, a
 Poisson count with mean equal to the integral of r * (1 - beta_bar_{n(t)+1})
 over the run, so ``atoms_injected`` keeps the Poisson(r T) law of the arrivals.
@@ -28,6 +34,8 @@ from .streams import TimestampStream
 DEFAULT_BURN_IN_LIFETIMES = 20.0
 # Exponential and uniform variates are drawn this many at a time.
 RANDOM_BLOCK = 65536
+# The chain is walked this many steps at a time, then clocked with numpy.
+WALK_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -95,34 +103,54 @@ def simulate(
     # A state with no way out (n = 0 without pump) waits forever: its mean
     # wait is inf, so the clock passes the end of the run.
     with np.errstate(divide="ignore", invalid="ignore"):
-        mean_wait = (1.0 / total).tolist()
-        p_up = np.where(total > 0.0, birth / total, 0.0).tolist()
+        mean_wait = 1.0 / total
+        p_up = np.where(total > 0.0, birth / total, 0.0)
+    # Two sentinel states keep every index of the walk in range, and neither
+    # reaches the output. n_basis + 1 follows only a step that truncates and
+    # always steps down; -1 (the last entry) follows only an unpumped n = 0,
+    # after an infinite wait, and always steps up.
+    p_up = [*p_up.tolist(), 0.0, 1.0]
+    mean_wait = np.append(mean_wait, [0.0, 0.0])
 
     initial = n
     t = 0.0
     times = array("d")
     steps = array("b")
-    running = True
-    while running:
-        exps = rng.standard_exponential(RANDOM_BLOCK).tolist()
-        unis = rng.random(RANDOM_BLOCK).tolist()
-        for e, u in zip(exps, unis):
-            t += e * mean_wait[n]
-            if not t < duration:  # also ends on inf * 0 = nan
-                running = False
-                break
-            if u < p_up[n]:
-                n += 1
-                if n >= n_basis:
-                    raise TruncationError(
-                        f"photon number reached the basis truncation n_max={n_basis} "
-                        f"at t={t:.3e} s; raise n_max"
-                    )
-                steps.append(1)
-            else:
-                n -= 1
-                steps.append(-1)
-            times.append(t)
+    lo = RANDOM_BLOCK
+    while True:
+        if lo >= RANDOM_BLOCK:
+            exps = rng.standard_exponential(RANDOM_BLOCK)
+            unis = rng.random(RANDOM_BLOCK)
+            lo = 0
+        hi = lo + WALK_CHUNK
+        start = n
+        # The embedded jump chain alone: the states after each step. The
+        # memoryview hands out the uniforms as floats without building a list.
+        after = np.frombuffer(
+            array("q", [n := n + 1 if u < p_up[n] else n - 1 for u in memoryview(unis[lo:hi])]),
+            dtype=np.int64,
+        )
+        before = np.concatenate(([start], after[:-1]))
+        # The clock: event times as one running sum from t.
+        with np.errstate(invalid="ignore"):  # inf * 0 = nan ends the run too
+            clock = exps[lo:hi] * mean_wait[before]
+        clock[0] += t
+        np.cumsum(clock, out=clock)
+        past = np.flatnonzero(~(clock < duration))
+        end = past[0] if past.size else clock.size
+        top = np.flatnonzero(after >= n_basis)
+        if top.size and top[0] < end:
+            raise TruncationError(
+                f"photon number reached the basis truncation n_max={n_basis} "
+                f"at t={clock[top[0]]:.3e} s; raise n_max"
+            )
+        times.frombytes(clock[:end].tobytes())
+        steps.frombytes((after[:end] - before[:end]).astype(np.int8).tobytes())
+        if end < clock.size:
+            n = int(before[end])
+            break
+        t = clock[-1]
+        lo = hi
 
     event_t = np.frombuffer(times)
     step = np.frombuffer(steps, dtype=np.int8)
@@ -177,9 +205,7 @@ def photon_number_histogram(
     edges = np.append(rec.path_times, rec.duration)
     lo = np.clip(edges[:-1], burn_in, rec.duration)
     hi = np.clip(edges[1:], burn_in, rec.duration)
-    weights = hi - lo
-    occupancy = np.zeros(rec.n_basis + 1)
-    np.add.at(occupancy, rec.path_values, weights)
+    occupancy = np.bincount(rec.path_values, weights=hi - lo, minlength=rec.n_basis + 1)
     return PhotonDistribution.from_weights(occupancy)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,19 +11,21 @@ from microlaser.core import (
     TWO_PI,
     MicrolaserConfig,
     VelocityDistribution,
+    averaged_beta_table,
     injection_rate,
     interaction_time,
 )
 from microlaser.errors import TruncationError
-from microlaser.quantum import steady_state
+from microlaser.quantum import effective_n_max, steady_state
 from microlaser.semiclassical import find_fixed_points
 from microlaser.trajectory import (
+    RANDOM_BLOCK,
     photon_number_histogram,
     simulate,
     total_variation_distance,
 )
 
-from conftest import random_config
+from conftest import PUBLISHED_KWARGS, SCALED_KWARGS, random_config
 
 
 def test_pure_death_process(scaled_cfg, scaled_dist):
@@ -152,16 +156,211 @@ def test_histogram_weights_time_not_events(scaled_cfg, scaled_dist):
     assert np.allclose(occ.probabilities, expected, atol=1e-15)
 
 
-def test_truncation_hard_error():
+def _climbing_config():
     t = interaction_time(750.0, 41e-6)
     cfg = MicrolaserConfig(
         g0=(np.pi / 2.0) / (np.sqrt(6.0) * t),  # near-unit emission at n=5
         gamma_c=TWO_PI * 1e3,  # slow decay: population climbs
         mode_waist=41e-6, v0=750.0, n_atoms_mean=50.0, n_max=6,
     )
-    dist = VelocityDistribution.delta(750.0)
+    return cfg, VelocityDistribution.delta(750.0)
+
+
+def test_truncation_hard_error():
+    cfg, dist = _climbing_config()
     with pytest.raises(TruncationError):
         simulate(cfg, dist, duration=1e-3, seed=0, initial_n=3)
+
+
+def _digest(a):
+    a = np.ascontiguousarray(a)
+    return hashlib.sha256(a.dtype.str.encode() + a.tobytes()).hexdigest()
+
+
+def _golden_run(name):
+    scaled = MicrolaserConfig(**SCALED_KWARGS)
+    published = MicrolaserConfig(**PUBLISHED_KWARGS)
+    cfg, duration, seed, initial_n = {
+        "scaled-seed1": (scaled, 2e-3, 1, None),
+        "scaled-seed402": (scaled, 2e-3, 402, None),
+        "cold-start": (scaled, 2e-3, 7, 0),
+        "start-250": (scaled, 2e-3, 11, 250),
+        "published": (published, 50.0 / published.gamma_c, 31, None),
+        "efficiency-0.7": (replace(scaled, detection_efficiency=0.7), 2e-3, 5, None),
+        "zero-pump": (scaled.with_n_atoms(0.0), 1200.0 / scaled.gamma_c, 3, 40),
+        "start-at-top": (scaled, 1e-4, 0, 256),
+        "end-before-truncation": (replace(scaled, n_max=44), 1.5985e-3, 1, 30),
+    }[name]
+    dist = VelocityDistribution.from_config(cfg)
+    return simulate(cfg, dist, duration, seed=seed, initial_n=initial_n)
+
+
+# sha256 of (dtype, bytes) of path_times, path_values and both streams' times,
+# then (initial_n, final_n, atoms_injected, emissions, decays, detections),
+# recorded from the per-event loop this simulator replaced.
+GOLDEN = {
+    "scaled-seed1": (
+        "58b015835bdb4638ad582f8be4263a98098d5480ee7231b7b4598132a5a0fdea",
+        "e8e14e7f226f0714e796dd94c6178647edef3f85a61ad4365c965aa8b2a5d10b",
+        "9aea098c5b1dcd11dcd8d535f64da0938324eaec46a11145c4925022160b77a3",
+        "51d17c62287b9e18db3e2f37daa4baf2beb6a0663696306c0e1c0409e7871765",
+        (30, 29, 87130, 56703, 56704, 56704),
+    ),
+    "scaled-seed402": (
+        "284fca27aa542a45eee13177e70f3fdcaa570e87219d9089fd48267e9898e5fa",
+        "0e66ded9c808ad99957589d339fab1720134e4127322d988a352dd342ff66b4b",
+        "5aeb689baef9b513e9f72c29c41070595955229192dd70f4c0613db844936b54",
+        "1e6774e0dc282f7a3b3805430c0ff429ce7f492363b05bba124798f749917983",
+        (28, 35, 86939, 56511, 56504, 56504),
+    ),
+    "cold-start": (
+        "10d7c2d32166044ca97ad0162e3319efcf504cfd1869058f1fd5637aa7dc1e04",
+        "b3e59b473668487710f6c67396f7b1b1adc52998cb84e973978b1f646dc445d5",
+        "f4727a3b458a925a9f6655bd649ab96155fde3362439fc79b82aff9afed7e2a8",
+        "f4a2cee54b2b2490961724871b014f55979ad912bfa832bca2720b480bb3fa02",
+        (0, 31, 86776, 56475, 56444, 56444),
+    ),
+    "start-250": (
+        "db0f750373e6e350e6f9e03f45c6d1448c385f4714e1692fcfeeb234f0b033e1",
+        "cbc2b53366cb36cf2f6709e74ddc63ea6b72a917095767cb7a49ac25b6924993",
+        "30a3ef6067369b71f203fc228ecf243ac3d5322cd8c691f4d2e9edb9e9953172",
+        "f30edb7d8c0333885d3924985c5edaac751e80d281bdab51fee37f2b2a852d21",
+        (250, 34, 86899, 56459, 56675, 56675),
+    ),
+    "published": (
+        "0b24572be735f55de96aaaf6b6496b72c725e096474fafe8a00f77ce09104674",
+        "ec4540d54aa542f1469f8e6aba3eb078a7bd2f871a735a6cf65ef9898b9507db",
+        "c0e1ff150f3c2e6f50aa84b763689eadceac542a09dfbe916ee06973b8d0138d",
+        "6957a3e88d3e354fee421dbd422ce3ba6d3375a906aef3d7c74cf53a5d9adb0b",
+        (569, 556, 86692, 27471, 27484, 27484),
+    ),
+    "efficiency-0.7": (
+        "030279489cc5a092f507b32e0d36ec00b1cfb995fe0c4ece99e0706c1e8276af",
+        "942948a0276f7a2ac798bb4ca93f9b9a1293338d28da03a03b90f5385017c9d9",
+        "a954eaf62f985d1f34a6beb3b53fba4808d876b5d4d75adb6e5a64e48641b658",
+        "b5736f92caf9c349f3f4cccb93ad82c9ff6c78075aa8e269891c622011e83293",
+        (33, 26, 86726, 56528, 56535, 39488),
+    ),
+    "zero-pump": (
+        "5263cdd7ad898370983b377729c7c977623d9629509bee6b3539b9009dd6c339",
+        "89ee622f0b02e7f059dfeddc1da0ca620e96f4f6876b15571229e0424b2707ea",
+        "b0c38ed411a40c8084937a1b69704aa7ae226c7c2204a01d8be40f0e7af0b99f",
+        "2373ececa32cced6852ef38f1064fa029b0f53df03fcc594464397ebf647c5f6",
+        (40, 0, 0, 0, 40, 40),
+    ),
+    "start-at-top": (
+        "a3d68dd7ce79c9be957a890ba79683fe949cd7e3fcd5fbbb6ad213cf61c8875b",
+        "4a7d9ee8294bbadd7c7619fafbdfff729e37045a9fc39102b2275f77ba9c4760",
+        "3975f2d0300254e311ead46d38f949e57bc0badb196a3dff965440d065723da7",
+        "d7fb65ecd234a77223515ce27a846bccfde7f9b1ae297bb8e9aaac769be6ad16",
+        (256, 27, 4324, 2794, 3023, 3023),
+    ),
+    "end-before-truncation": (
+        "6703c73e88466df1a28e2fb446d8b5d5ac3f3902889e094fb57ddec139fac4aa",
+        "60e7b0577f3e03156c5f81b1c0c026315f2a32a12abe7ef4c03cf2cca722ff9d",
+        "113cb0f994a773f8131cf48e29ffe82063db21bb7052c9cd2f375bbcea766430",
+        "33d4b87a7ed307d9a2a1d12c5a67bcee6eaa28d3d61a46851f3d5554db237eee",
+        (30, 41, 69496, 45429, 45418, 45418),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_records(name):
+    rec = _golden_run(name)
+    arrays = (rec.path_times, rec.path_values, rec.stream1.times, rec.stream2.times)
+    *digests, counts = GOLDEN[name]
+    assert [_digest(a) for a in arrays] == digests
+    assert (rec.initial_n, rec.final_n, rec.atoms_injected, rec.emissions,
+            rec.decays, rec.detections) == counts
+
+
+def _per_event_loop(cfg, dist, duration, seed, initial_n):
+    """Reference: the jump chain one event at a time, on the same random draws.
+
+    Returns the path times and values and the two channels' times, or raises
+    TruncationError as ``simulate`` must.
+    """
+    rng = np.random.default_rng(seed)
+    n_basis = effective_n_max(cfg)
+    birth = injection_rate(cfg) * averaged_beta_table(n_basis + 1, cfg, dist)
+    total = birth + cfg.gamma_c * np.arange(n_basis + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean_wait = (1.0 / total).tolist()
+        p_up = np.where(total > 0.0, birth / total, 0.0).tolist()
+    n, t, times, values = initial_n, 0.0, [0.0], [initial_n]
+    while True:
+        exps = rng.standard_exponential(RANDOM_BLOCK).tolist()
+        unis = rng.random(RANDOM_BLOCK).tolist()
+        for e, u in zip(exps, unis):
+            t += e * mean_wait[n]
+            if not t < duration:
+                decays = np.array(times[1:])[np.diff(values) < 0]
+                detected = decays[rng.random(decays.size) < cfg.detection_efficiency]
+                to_ch1 = rng.random(detected.size) < cfg.splitter_ratio
+                return times, values, detected[to_ch1], detected[~to_ch1]
+            n += 1 if u < p_up[n] else -1
+            if n >= n_basis:
+                raise TruncationError(
+                    f"photon number reached the basis truncation n_max={n_basis} "
+                    f"at t={t:.3e} s; raise n_max"
+                )
+            times.append(t)
+            values.append(n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    config_seed=st.integers(0, 2**32 - 1),
+    run_seed=st.integers(0, 2**32 - 1),
+    lifetimes=st.floats(0.5, 1000.0),
+    n_max=st.one_of(st.none(), st.integers(1, 80)),
+    start=st.floats(0.0, 1.0),
+    pumped=st.booleans(),
+)
+def test_matches_per_event_loop(config_seed, run_seed, lifetimes, n_max, start, pumped):
+    cfg, dist = random_config(np.random.default_rng(config_seed))
+    cfg = replace(cfg, n_max=n_max, n_atoms_mean=cfg.n_atoms_mean if pumped else 0.0)
+    initial_n = round(start * effective_n_max(cfg))
+    duration = lifetimes / cfg.gamma_c
+    try:
+        times, values, ch1, ch2 = _per_event_loop(cfg, dist, duration, run_seed, initial_n)
+    except TruncationError as exc:
+        with pytest.raises(TruncationError, match=re.escape(str(exc))):
+            simulate(cfg, dist, duration, seed=run_seed, initial_n=initial_n)
+        return
+    rec = simulate(cfg, dist, duration, seed=run_seed, initial_n=initial_n)
+    assert np.array_equal(rec.path_times, times)
+    assert np.array_equal(rec.path_values, values)
+    assert rec.final_n == values[-1]
+    assert np.array_equal(rec.stream1.times, ch1)
+    assert np.array_equal(rec.stream2.times, ch2)
+
+
+def test_truncation_only_before_the_end(scaled_cfg, scaled_dist):
+    # the chain reaches n_max = 44 at t = 1.599e-03 s (second random block),
+    # so a run that ends just before completes and one just after raises
+    cfg = replace(scaled_cfg, n_max=44)
+    rec = simulate(cfg, scaled_dist, 1.5985e-3, seed=1, initial_n=30)
+    assert rec.path_values.max() == 43
+    with pytest.raises(TruncationError, match=re.escape("n_max=44 at t=1.599e-03 s")):
+        simulate(cfg, scaled_dist, 1.5995e-3, seed=1, initial_n=30)
+    # a few events into the run, inside the first walked chunk
+    cfg, dist = _climbing_config()
+    rec = simulate(cfg, dist, 3.4845e-9, seed=0, initial_n=3)
+    assert rec.final_n == 5 and rec.path_values.size == 3
+    with pytest.raises(TruncationError, match=re.escape("n_max=6 at t=3.485e-09 s")):
+        simulate(cfg, dist, 3.4855e-9, seed=0, initial_n=3)
+
+
+def test_start_at_basis_top():
+    cfg, dist = _climbing_config()
+    rec = simulate(cfg, dist, 1e-12, seed=0, initial_n=6)
+    assert rec.initial_n == rec.final_n == 6
+    assert rec.path_values.tolist() == [6] and rec.path_times.tolist() == [0.0]
+    assert rec.emissions == rec.decays == rec.detections == 0
+    with pytest.raises(TruncationError, match=re.escape("n_max=6 at t=1.339e-09 s")):
+        simulate(cfg, dist, 1e-3, seed=0, initial_n=6)
 
 
 def test_initial_condition_validation(scaled_cfg, scaled_dist):
