@@ -139,7 +139,7 @@ def cmd_sweep(args) -> int:
             n_q = p.mean
             q_q = p.mandel_q
             if n_q > 0.0:
-                curve = quantum.g2_regression(point_cfg, dist)
+                curve = quantum.g2_regression(point_cfg, dist, steady=p)
                 tau_q = quantum.q_and_tau_from_g2(curve, n_q).tau_c
         else:
             n_q = 0.0
@@ -172,7 +172,7 @@ def cmd_predict_g2(args) -> int:
     p = quantum.steady_state(cfg, dist)
     if p.mean <= 0.0:
         raise ConfigError("predict-g2 needs a nonempty steady state (n_atoms_mean > 0)")
-    curve = quantum.g2_regression(cfg, dist)
+    curve = quantum.g2_regression(cfg, dist, steady=p)
     summary = quantum.q_and_tau_from_g2(curve, p.mean)
     manifest.wall_clock_s = time.perf_counter() - t0
 
@@ -233,6 +233,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_correlate_fit(args) -> int:
+    t0 = time.perf_counter()
     a = read_stream(args.stream1)
     b = read_stream(args.stream2)
     bin_width = args.bin_ns * 1e-9
@@ -246,7 +247,6 @@ def cmd_correlate_fit(args) -> int:
         inputs=[str(args.stream1), str(args.stream2)],
         outputs=[str(args.out)],
     )
-    t0 = time.perf_counter()
     if args.symmetric:
         est = correlator.g2_symmetric(a, b, bin_width, window)
     else:
@@ -303,7 +303,7 @@ def cmd_pipeline(args) -> int:
         p = quantum.steady_state(cfg, dist)
         if p.mean <= 0.0:
             raise ConfigError("pipeline needs a nonempty steady state")
-        curve = quantum.g2_regression(cfg, dist)
+        curve = quantum.g2_regression(cfg, dist, steady=p)
         theory = quantum.q_and_tau_from_g2(curve, p.mean)
 
         stage = "simulate"

@@ -235,16 +235,22 @@ def averaged_beta(k, cfg: MicrolaserConfig, dist: VelocityDistribution):
     """Velocity-averaged emission probability sum_j w_j beta_k(v_j).
 
     ``k`` may be scalar or an array; a delta distribution reduces to the
-    pointwise kernel at v0.
+    pointwise kernel at v0. For an array ``k`` the sines are taken and
+    squared in place in the one k-by-node buffer of the phases, which gives
+    the same bits as ``np.sin(phases) ** 2 @ weights`` without its two
+    temporaries of that size. A scalar ``k`` keeps that expression: on a
+    few nodes its small temporaries cost less than the in-place calls.
     """
     k_arr = np.asarray(k, dtype=float)
     if np.any(k_arr < 0.0):
         raise ValueError(f"k must be >= 0, got {k}")
     theta = cfg.g0 * interaction_time(dist.velocities, cfg.mode_waist)
-    val = np.sin(np.sqrt(k_arr)[..., None] * theta) ** 2 @ dist.weights
+    phases = np.sqrt(k_arr)[..., None] * theta
     if k_arr.ndim == 0:
-        return float(val)
-    return val
+        return float(np.sin(phases) ** 2 @ dist.weights)
+    np.sin(phases, phases)
+    np.square(phases, phases)
+    return phases @ dist.weights
 
 
 def averaged_beta_table(n_max: int, cfg: MicrolaserConfig, dist: VelocityDistribution) -> np.ndarray:

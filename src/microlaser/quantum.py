@@ -250,6 +250,8 @@ def g2_regression(
     cfg: MicrolaserConfig,
     dist: VelocityDistribution,
     tau_grid=None,
+    *,
+    steady: PhotonDistribution | None = None,
 ) -> G2Curve:
     """g2(tau) from the regression of the annihilation-collapsed diagonal.
 
@@ -273,8 +275,12 @@ def g2_regression(
     generator; the flux it puts outside the kept states, plus the part of
     W(0) left outside, bounds the error of the curve. A TruncationError is
     raised when that bound exceeds OUTFLUX_LIMIT.
+
+    ``steady`` must be ``steady_state(cfg, dist)`` for the same ``cfg`` and
+    ``dist``; a caller that already holds it passes it to skip a second
+    solve. It is solved here when not given.
     """
-    p = steady_state(cfg, dist)
+    p = steady if steady is not None else steady_state(cfg, dist)
     n_mean = p.mean
     if n_mean <= 0.0:
         raise ValueError("g2 undefined: steady state carries no photons")

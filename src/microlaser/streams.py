@@ -14,6 +14,8 @@ import numpy as np
 
 MAGIC = b"MLTS1"
 PS_PER_SECOND = 1e12
+# events per read of an MLTS1 payload: the integer block stays in cache
+READ_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -32,13 +34,16 @@ class TimestampStream:
         if not self.duration >= 0.0:
             raise ValueError(f"duration must be >= 0, got {self.duration}")
         if t.size:
-            bad = np.flatnonzero(~(np.diff(t) >= 0.0))
-            if bad.size:
+            unordered = t[1:] >= t[:-1]
+            np.logical_not(unordered, out=unordered)
+            if unordered.any():
                 raise ValueError(
-                    f"times must be nondecreasing and not NaN; violation at index {bad[0] + 1}"
+                    f"times must be nondecreasing and not NaN; violation at index "
+                    f"{np.argmax(unordered) + 1}"
                 )
-            if not (t[0] >= 0.0 and t[-1] <= self.duration):
-                raise ValueError("times must lie within [0, duration]")
+            # ordered, so only the last time can be +inf
+            if not (t[0] >= 0.0 and t[-1] <= self.duration and np.isfinite(t[-1])):
+                raise ValueError("times must be finite and lie within [0, duration]")
         t.flags.writeable = False
         object.__setattr__(self, "times", t)
 
@@ -62,6 +67,7 @@ def write_mlts1(stream: TimestampStream, path) -> None:
 
 
 def read_mlts1(path) -> TimestampStream:
+    """Read an MLTS1 file, READ_BLOCK events at a time, into float seconds."""
     with open(path, "rb") as fh:
         header = fh.readline()
         if not header.startswith(MAGIC + b" "):
@@ -72,12 +78,18 @@ def read_mlts1(path) -> TimestampStream:
         channel = int(fields[1])
         duration_ps = int(fields[2])
         count = int(fields[3])
-        payload = fh.read(8 * count)
-    if len(payload) != 8 * count:
-        raise ValueError(f"{path}: truncated payload ({len(payload)} bytes for {count} events)")
-    ps = np.frombuffer(payload, dtype="<u8")
+        times = np.empty(count)
+        block = np.empty(min(count, READ_BLOCK), dtype="<u8")
+        for lo in range(0, count, READ_BLOCK):
+            part = block[: min(READ_BLOCK, count - lo)]
+            got = fh.readinto(part)
+            if got != part.nbytes:
+                raise ValueError(
+                    f"{path}: truncated payload ({8 * lo + got} bytes for {count} events)"
+                )
+            np.divide(part, PS_PER_SECOND, out=times[lo : lo + part.size])
     return TimestampStream(
-        times=ps.astype(float) / PS_PER_SECOND,
+        times=times,
         channel=channel,
         duration=duration_ps / PS_PER_SECOND,
     )

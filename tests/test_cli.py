@@ -1,6 +1,9 @@
+import hashlib
 import os
 import subprocess
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,7 @@ n_max = 256
 """
 
 GAMMA_C = 2 * np.pi * 150e3
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture()
@@ -116,6 +120,67 @@ def test_predict_g2_delta_equals_one_node_gaussian(tmp_path):
     assert body_lines(out_delta) == body_lines(out_gauss)
 
 
+# sha256 of the predict-g2 data rows and of its n_mean, mandel_q_moments, c0
+# and tau_c_s header lines, recorded before the steady state was shared and
+# the beta-bar kernel went in place.
+PREDICT_G2_GOLDEN = {
+    "scaled": (
+        "0c57dd891861457a33cf3fa1cf8c6c6a04c556ab726be2e702b4c59899b7240b",
+        "4769ce38e4ac0c477be53a615ac46d8fb2e4dae5a856ad352fbae19e56e06f32",
+    ),
+    "published": (
+        "7dba0830b6eee5f97de630adb8583677181288ae6d3955ae625cef56e7a8159a",
+        "e2b3179ea996e39779494e9da5517feab6783ba3ca33a3dcb51204c64e9caf5a",
+    ),
+}
+GOLDEN_KEYS = ("n_mean", "mandel_q_moments", "c0", "tau_c_s")
+
+
+def _sha256_lines(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("stem", PREDICT_G2_GOLDEN)
+def test_predict_g2_golden(tmp_path, stem):
+    out = tmp_path / "g2.csv"
+    assert main(["predict-g2", "--config", str(CONFIGS / f"{stem}.cfg"), "--out", str(out)]) == 0
+    rows = body_lines(out)
+    assert rows[0] == "tau_seconds,g2"
+    summary = [l for l in header_lines(out) if l[2:].split(" = ")[0] in GOLDEN_KEYS]
+    assert len(rows) == 201 and len(summary) == len(GOLDEN_KEYS)
+    assert (_sha256_lines(rows[1:]), _sha256_lines(summary)) == PREDICT_G2_GOLDEN[stem]
+
+
+def test_predict_g2_solves_one_steady_state(tmp_path, monkeypatch):
+    from microlaser import quantum
+
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(quantum, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(quantum, name, wrapper)
+
+    counted("steady_state")
+    counted("averaged_beta_table")
+    out = tmp_path / "g2.csv"
+    assert main(["predict-g2", "--config", str(CONFIGS / "scaled.cfg"), "--out", str(out)]) == 0
+    # one table for the steady state, one for the generator of the g2 solve
+    assert calls == {"steady_state": 1, "averaged_beta_table": 2}
+
+
+def test_predict_g2_zero_pump_is_a_config_error(tmp_path):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(SCALED_CFG.replace("n_atoms_mean = 4.2", "n_atoms_mean = 0"))
+    out = tmp_path / "g2.csv"
+    assert main(["predict-g2", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_simulate_deterministic_and_readable(tmp_path, scaled_cfg_file):
     duration = 200.0 / GAMMA_C
     args = ["simulate", "--config", str(scaled_cfg_file),
@@ -130,6 +195,36 @@ def test_simulate_deterministic_and_readable(tmp_path, scaled_cfg_file):
     assert stream.duration == pytest.approx(duration, abs=1e-12)
     assert stream.count > 0
     assert (tmp_path / "runA.manifest.txt").exists()
+
+
+def test_correlate_fit_times_the_reads_outside_the_hash(tmp_path, monkeypatch):
+    from microlaser import cli
+    from microlaser.streams import TimestampStream, write_mlts1
+
+    rng = np.random.default_rng(4)
+    for channel in (1, 2):
+        times = np.sort(rng.uniform(0.0, 1e-3, 2_000))
+        write_mlts1(TimestampStream(times, channel, 1e-3), tmp_path / f"ch{channel}.mlts1")
+    argv = ["correlate-fit", str(tmp_path / "ch1.mlts1"), str(tmp_path / "ch2.mlts1"),
+            "--window-us", "1", "--out", str(tmp_path / "fit.txt")]
+
+    def manifest():
+        lines = (tmp_path / "fit.txt.manifest.txt").read_text().splitlines()
+        return dict(l.split(" = ", 1) for l in lines if " = " in l)
+
+    assert main(argv) == 0
+    quick = manifest()
+    read_stream = cli.read_stream
+
+    def slow_read(path):
+        time.sleep(0.1)
+        return read_stream(path)
+
+    monkeypatch.setattr(cli, "read_stream", slow_read)
+    assert main(argv) == 0
+    slow = manifest()
+    assert float(slow["wall_clock_s"]) >= 0.2
+    assert slow["manifest_hash"] == quick["manifest_hash"]
 
 
 def test_simulate_empty_for_zero_pump_cold_start(tmp_path):

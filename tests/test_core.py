@@ -121,6 +121,33 @@ def test_averaged_beta_large_k_approaches_half_with_mc_oracle(published_cfg, pub
     assert abs(avg - mc) < 5.0 * mc_sigma + 1e-4
 
 
+def reference_averaged_beta(k, cfg, dist):
+    """The kernel as it was written before it reused its buffer."""
+    theta = cfg.g0 * interaction_time(dist.velocities, cfg.mode_waist)
+    return np.sin(np.sqrt(np.asarray(k, dtype=float))[..., None] * theta) ** 2 @ dist.weights
+
+
+def test_averaged_beta_matches_reference_bits(published_cfg, published_dist, scaled_cfg):
+    delta = VelocityDistribution.from_config(scaled_cfg)
+    ks = [3.7, 0.0, np.arange(1.0, 40.0), np.linspace(0.0, 900.0, 60).reshape(6, 10)]
+    for cfg, dist in ((published_cfg, published_dist), (scaled_cfg, delta)):
+        for k in ks:
+            got = averaged_beta(k, cfg, dist)
+            want = reference_averaged_beta(k, cfg, dist)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+        assert type(averaged_beta(3.7, cfg, dist)) is float
+    n_max = effective_n_max(published_cfg)
+    table = averaged_beta_table(n_max, published_cfg, published_dist)
+    assert table.shape == (n_max,)
+    assert np.array_equal(
+        table, reference_averaged_beta(np.arange(1.0, n_max + 1), published_cfg, published_dist)
+    )
+    assert np.array_equal(
+        averaged_beta_table(2 * n_max, published_cfg, published_dist)[:n_max], table
+    )
+
+
 def test_quadrature_doubling_stability(published_cfg):
     # Doubling the node count moves beta-bar by less than 1e-9 for every
     # k up to the default basis size.

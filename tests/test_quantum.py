@@ -291,6 +291,27 @@ def test_g2_undefined_for_empty_field(published_cfg, published_dist):
         g2_regression(published_cfg.with_n_atoms(0.0), published_dist)
 
 
+def test_g2_with_given_steady_state_is_bit_identical(
+    scaled_cfg, scaled_dist, published_cfg, published_dist
+):
+    cases = [(scaled_cfg, scaled_dist), (published_cfg, published_dist)]
+    rng = np.random.default_rng(47)
+    while len(cases) < 12:
+        cfg, dist = random_config(rng)
+        if steady_state(cfg, dist).mean > 0.0:
+            cases.append((cfg, dist))
+    for cfg, dist in cases:
+        default = g2_regression(cfg, dist)
+        shared = g2_regression(cfg, dist, steady=steady_state(cfg, dist))
+        for name in ("tau", "values", "rates", "weights"):
+            assert np.array_equal(getattr(shared, name), getattr(default, name)), name
+        assert shared.plateau == default.plateau
+        assert shared.config_hash == default.config_hash
+    empty = published_cfg.with_n_atoms(0.0)
+    with pytest.raises(ValueError):
+        g2_regression(empty, published_dist, steady=steady_state(empty, published_dist))
+
+
 def test_g2_fit_exact_exponential_input():
     tau = np.linspace(0.0, 10e-6, 200)
     c0, tau_c = 0.002, 1e-6

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from microlaser.streams import (
+    READ_BLOCK,
     TimestampStream,
     read_mlts1,
     read_stream,
@@ -38,6 +39,17 @@ def test_stream_rejects_out_of_range():
 def test_stream_rejects_nan(times, duration):
     with pytest.raises(ValueError):
         TimestampStream(np.array(times, dtype=float), 1, duration)
+
+
+@pytest.mark.parametrize(
+    "times, duration",
+    [([0.1, np.inf], np.inf), ([0.1, np.inf, np.inf], np.inf), ([np.inf], np.inf),
+     ([-np.inf, 0.1], 1.0)],
+    ids=["trailing", "repeated", "only", "negative"],
+)
+def test_stream_rejects_infinite_times(times, duration):
+    with pytest.raises(ValueError, match="finite|nondecreasing"):
+        TimestampStream(np.array(times), 1, duration)
 
 
 def test_stream_allows_ties_and_empty():
@@ -80,6 +92,42 @@ def test_mlts1_rejects_garbage(tmp_path):
         read_mlts1(path)
     path.write_bytes(b"MLTS1 1 1000000 5\n\x00\x01")  # truncated payload
     with pytest.raises(ValueError, match="truncated"):
+        read_mlts1(path)
+
+
+def _mlts1_bytes(ps, count=None):
+    count = len(ps) if count is None else count
+    return f"MLTS1 2 {int(ps[-1]) + 1 if len(ps) else 0} {count}\n".encode() + ps.tobytes()
+
+
+def test_mlts1_reads_blocks_and_a_partial_block(tmp_path):
+    rng = np.random.default_rng(8)
+    ps = np.cumsum(rng.integers(0, 10**9, 3 * READ_BLOCK + 5)).astype("<u8")
+    path = tmp_path / "blocks.mlts1"
+    path.write_bytes(_mlts1_bytes(ps))
+    back = read_mlts1(path)
+    assert back.count == ps.size and back.channel == 2
+    assert np.array_equal(back.times, ps.astype(float) / 1e12)
+    write_mlts1(back, tmp_path / "again.mlts1")
+    assert (tmp_path / "again.mlts1").read_bytes() == path.read_bytes()
+
+
+def test_mlts1_empty_payload(tmp_path):
+    path = tmp_path / "empty.mlts1"
+    path.write_bytes(b"MLTS1 1 5000 0\n")
+    back = read_mlts1(path)
+    assert back.count == 0 and back.times.dtype == float
+    assert back.duration == 5e-9
+
+
+@pytest.mark.parametrize("kept_bytes", [8 * 2 * READ_BLOCK, 8 * (2 * READ_BLOCK + 7) + 3],
+                         ids=["block-edge", "inside-block"])
+def test_mlts1_truncated_in_a_later_block(tmp_path, kept_bytes):
+    ps = np.arange(0, 3 * READ_BLOCK + 5, dtype="<u8") * 1000
+    header, payload = _mlts1_bytes(ps).split(b"\n", 1)
+    path = tmp_path / "cut.mlts1"
+    path.write_bytes(header + b"\n" + payload[:kept_bytes])
+    with pytest.raises(ValueError, match=f"truncated payload \\({kept_bytes} bytes"):
         read_mlts1(path)
 
 
