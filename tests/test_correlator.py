@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -199,6 +201,48 @@ def test_correlate_validation():
         correlate(a, b, 1e-6, 1e-9)
     with pytest.raises(ValueError, match="chunk_size"):
         correlate(a, b, 1e-9, 1e-6, chunk_size=0)
+    # a zero duration is rejected before any start is correlated
+    a = TimestampStream(np.array([0.0, 0.0]), 1, 0.0)
+    b = TimestampStream(np.array([0.0]), 2, 0.0)
+    with mock.patch.object(correlator_module, "_correlate_share", side_effect=AssertionError):
+        with pytest.raises(ValueError, match="positive duration"):
+            correlate(a, b, 1e-9, 1e-6)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_worker_count_invariance(monkeypatch):
+    # the chunks are shared over one worker per usable CPU; the counts must
+    # not depend on how many there are, and no worker thread outlives the call
+    rng = np.random.default_rng(41)
+    duration = 1.0
+    a = TimestampStream(np.sort(rng.uniform(0, duration, 4000)), 1, duration)
+    b = TimestampStream(np.sort(rng.uniform(0, duration, 4000)), 2, duration)
+    monkeypatch.setattr(correlator_module, "PAIR_BATCH", 37)
+    shares = []
+    share = correlator_module._correlate_share
+
+    def recorded(*args):
+        shares.append(args[-2:])
+        return share(*args)
+
+    monkeypatch.setattr(correlator_module, "_correlate_share", recorded)
+    cpus = os.sched_getaffinity(0)
+    threads = threading.active_count()
+    try:
+        os.sched_setaffinity(0, {min(cpus)})
+        one = correlate(a, b, 1e-4, 5e-2, chunk_size=64)
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert shares == [(0, 1)]
+    assert threading.active_count() == threads
+    shares.clear()
+    every = correlate(a, b, 1e-4, 5e-2, chunk_size=64)
+    k = min(len(cpus), 4000 // 64 + 1)
+    assert sorted(shares) == [(w, k) for w in range(k)]
+    assert threading.active_count() == threads
+    assert np.array_equal(one.counts, every.counts)
+    assert np.array_equal(every.counts, brute_force_counts(a.times, b.times, 1e-4, 5e-2))
+    assert every.counts.sum() > 500_000
 
 
 def test_poisson_baseline_and_chi_square():
