@@ -19,17 +19,18 @@ The chunks are shared out over one worker per usable CPU (the process's
 scheduler affinity, or ``os.cpu_count()`` where that is not available), at
 most one per chunk. Worker w takes chunks w, w + k, w + 2k, ... of k, so
 dense and sparse stretches of the stream fall to every worker alike. The
-calling thread runs share 0 and a thread pool the others; with one worker
-no pool is started. Each share adds into its own int64 counts, and integer
-sums do not depend on order, so the histogram is the same for any number
-of workers. numpy's searches release the interpreter lock, which is where
-the second core pays. A worker runs only private code and numpy, so a
-tracer that wraps the public functions sees one ``correlate`` span. The
-pair budget is per worker and small because each worker thread allocates
-from its own malloc arena, which stays resident after the call, up to the
-most the worker held at once, under the next allocation peak of the
-process: at 2**17 pairs per worker that raised the peak memory of a
-pipeline run by about 15 %, at 2**15 by 0-4 %.
+calling thread runs share 0 and a thread pool the others; with one worker no
+pool is started. If one share raises, or is interrupted, the other workers
+stop at their next chunk. Each share adds into its own int64 counts, and
+integer sums do not depend on order, so the histogram is the same for any
+number of workers. numpy's searches release the interpreter lock, which is
+where the second core pays. A worker runs only private code and numpy, so a
+tracer that wraps the public functions sees one ``correlate`` span. The pair
+budget is per worker and small because each worker thread allocates from its
+own malloc arena, which stays resident after the call, up to the most the
+worker held at once, under the next allocation peak of the process: at 2**17
+pairs per worker that raised the peak memory of a pipeline run by about
+15 %, at 2**15 by 0-4 %.
 
 No validity mask is needed. The lower bound is a left search, so every stop
 is at or after its start, every delay is >= 0 and truncation toward zero is
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,10 +162,18 @@ def correlate(
     n_chunks = -(-a.count // chunk_size)
     n_workers = max(1, min(_usable_cpus(), n_chunks))
 
+    # set when a share fails or is interrupted, so that the other workers stop
+    # after their current chunk instead of finishing their shares
+    stop = threading.Event()
+
     def share(worker):
-        return _correlate_share(
-            a.times, b.times, bin_width, n_bins, reach, chunk_size, worker, n_workers
-        )
+        try:
+            return _correlate_share(
+                a.times, b.times, bin_width, n_bins, reach, chunk_size, worker, n_workers, stop
+            )
+        except BaseException:
+            stop.set()
+            raise
 
     if n_workers == 1:
         counts = share(0)
@@ -192,10 +202,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _correlate_share(starts, stops, bin_width, n_bins, reach, chunk_size, worker, n_workers):
-    """Counts of chunks worker, worker + n_workers, ... of the starts."""
+def _correlate_share(starts, stops, bin_width, n_bins, reach, chunk_size, worker, n_workers, stop):
+    """Counts of chunks worker, worker + n_workers, ... of the starts.
+
+    Returns early, with partial counts, once ``stop`` is set.
+    """
     counts = np.zeros(n_bins, dtype=np.int64)
     for begin in range(worker * chunk_size, starts.size, n_workers * chunk_size):
+        if stop.is_set():
+            break
         s = starts[begin : begin + chunk_size]
         # only stops in [s[0], s[-1] + reach] can pair with this chunk
         j0 = np.searchsorted(stops, s[0], side="left")

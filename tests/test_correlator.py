@@ -1,5 +1,4 @@
 import math
-import os
 import threading
 from unittest import mock
 
@@ -126,8 +125,9 @@ def test_internal_chunking_invariance():
 
 
 def test_pair_budget_batching_invariance(monkeypatch):
-    # dense workloads are processed in pair-budget batches; the histogram
-    # must not depend on the budget
+    # dense workloads are processed in pair-budget batches, and the chunks are
+    # shared over one worker per usable CPU; the histogram must depend on
+    # neither, and no worker thread may outlive the call
     import microlaser.correlator as mod
 
     rng = np.random.default_rng(31)
@@ -135,10 +135,28 @@ def test_pair_budget_batching_invariance(monkeypatch):
     a = TimestampStream(np.sort(rng.uniform(0, duration, 4000)), 1, duration)
     b = TimestampStream(np.sort(rng.uniform(0, duration, 4000)), 2, duration)
     whole = correlate(a, b, 1e-4, 5e-2)
+    assert np.array_equal(whole.counts, brute_force_counts(a.times, b.times, 1e-4, 5e-2))
     monkeypatch.setattr(mod, "PAIR_BATCH", 37)
     tiny = correlate(a, b, 1e-4, 5e-2)
     assert np.array_equal(whole.counts, tiny.counts)
     assert whole.counts.sum() > 500_000  # the workload actually is dense
+
+    shares = []
+    share = mod._correlate_share
+
+    def recorded(*args):
+        shares.append(args[-3:-1])
+        return share(*args)
+
+    monkeypatch.setattr(mod, "_correlate_share", recorded)
+    threads = threading.active_count()
+    for cpus in (1, 3):
+        monkeypatch.setattr(mod, "_usable_cpus", lambda: cpus)
+        shares.clear()
+        split = correlate(a, b, 1e-4, 5e-2, chunk_size=64)
+        assert sorted(shares) == [(w, cpus) for w in range(cpus)]
+        assert threading.active_count() == threads
+        assert np.array_equal(whole.counts, split.counts)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -209,40 +227,31 @@ def test_correlate_validation():
             correlate(a, b, 1e-9, 1e-6)
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
-def test_worker_count_invariance(monkeypatch):
-    # the chunks are shared over one worker per usable CPU; the counts must
-    # not depend on how many there are, and no worker thread outlives the call
-    rng = np.random.default_rng(41)
-    duration = 1.0
-    a = TimestampStream(np.sort(rng.uniform(0, duration, 4000)), 1, duration)
-    b = TimestampStream(np.sort(rng.uniform(0, duration, 4000)), 2, duration)
-    monkeypatch.setattr(correlator_module, "PAIR_BATCH", 37)
-    shares = []
+@pytest.mark.parametrize("failing", [0, 1])
+def test_failing_share_stops_the_other_workers(monkeypatch, failing):
+    # when one share raises, the other stops at its next chunk and correlate
+    # raises the error once every worker has returned
+    rng = np.random.default_rng(43)
+    a = TimestampStream(np.sort(rng.uniform(0, 1.0, 4000)), 1, 1.0)
+    b = TimestampStream(np.sort(rng.uniform(0, 1.0, 4000)), 2, 1.0)
+    monkeypatch.setattr(correlator_module, "_usable_cpus", lambda: 2)
     share = correlator_module._correlate_share
+    others = []
 
-    def recorded(*args):
-        shares.append(args[-2:])
-        return share(*args)
+    def fail_or_wait(*args):
+        worker, stop = args[-3], args[-1]
+        if worker == failing:
+            raise RuntimeError(f"share {worker}")
+        assert stop.wait(timeout=10)
+        others.append(share(*args))
+        return others[-1]
 
-    monkeypatch.setattr(correlator_module, "_correlate_share", recorded)
-    cpus = os.sched_getaffinity(0)
+    monkeypatch.setattr(correlator_module, "_correlate_share", fail_or_wait)
     threads = threading.active_count()
-    try:
-        os.sched_setaffinity(0, {min(cpus)})
-        one = correlate(a, b, 1e-4, 5e-2, chunk_size=64)
-    finally:
-        os.sched_setaffinity(0, cpus)
-    assert shares == [(0, 1)]
+    with pytest.raises(RuntimeError, match=f"share {failing}"):
+        correlate(a, b, 1e-4, 5e-2, chunk_size=64)
+    assert len(others) == 1 and others[0].sum() == 0
     assert threading.active_count() == threads
-    shares.clear()
-    every = correlate(a, b, 1e-4, 5e-2, chunk_size=64)
-    k = min(len(cpus), 4000 // 64 + 1)
-    assert sorted(shares) == [(w, k) for w in range(k)]
-    assert threading.active_count() == threads
-    assert np.array_equal(one.counts, every.counts)
-    assert np.array_equal(every.counts, brute_force_counts(a.times, b.times, 1e-4, 5e-2))
-    assert every.counts.sum() > 500_000
 
 
 def test_poisson_baseline_and_chi_square():
