@@ -16,8 +16,9 @@ that is taken whole): one stop index and one delay per pair, 256 kB per
 array at 2**15 pairs.
 
 The chunks are shared out over one worker per usable CPU (the process's
-scheduler affinity, or ``os.cpu_count()`` where that is not available), at
-most one per chunk. Worker w takes chunks w, w + k, w + 2k, ... of k, so
+scheduler affinity, or ``os.cpu_count()`` where that is not available,
+capped at ceil(quota / period) of a cgroup v2 CPU quota), at most one per
+chunk. Worker w takes chunks w, w + k, w + 2k, ... of k, so
 dense and sparse stretches of the stream fall to every worker alike. The
 calling thread runs share 0 and a thread pool the others; with one worker no
 pool is started. If one share raises, or is interrupted, the other workers
@@ -59,6 +60,8 @@ from .streams import TimestampStream
 # the counts
 DEFAULT_CHUNK = 1 << 13
 PAIR_BATCH = 1 << 15
+# a cgroup v2 CPU quota: "<quota> <period>" in microseconds, or "max <period>"
+CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
 
 
 class NormalizationError(MicrolaserError, ValueError):
@@ -197,9 +200,26 @@ def correlate(
 
 def _usable_cpus() -> int:
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    try:
+        with open(CGROUP_CPU_MAX) as fh:
+            quota = _quota_cpus(fh.read())
+    except (OSError, ValueError):  # absent, unreadable or not text
+        quota = None
+    return min(cpus, quota) if quota else cpus
+
+
+def _quota_cpus(text: str) -> int | None:
+    """CPUs a cgroup v2 ``cpu.max`` text ("<quota> <period>") allows, rounded
+    up; None for no quota ("max ...") or text that is not two positive integers.
+    """
+    try:
+        quota, period = (int(field) for field in text.split())
+    except ValueError:
+        return None
+    return -(-quota // period) if quota > 0 and period > 0 else None
 
 
 def _correlate_share(starts, stops, bin_width, n_bins, reach, chunk_size, worker, n_workers, stop):

@@ -58,12 +58,14 @@ class TimestampStream:
 
 def write_mlts1(stream: TimestampStream, path) -> None:
     """Write the bit-exact binary timestamp format."""
-    ps = np.round(stream.times * PS_PER_SECOND).astype(np.uint64)
+    ps = stream.times * PS_PER_SECOND
+    np.round(ps, out=ps)
+    ps = ps.astype("<u8")
     duration_ps = int(round(stream.duration * PS_PER_SECOND))
     header = f"MLTS1 {stream.channel} {duration_ps} {ps.size}\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(ps.astype("<u8").tobytes())
+        fh.write(ps)
 
 
 def read_mlts1(path) -> TimestampStream:

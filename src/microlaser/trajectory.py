@@ -12,8 +12,11 @@ and the holding times are drawn separately, so the two are split: one list
 comprehension walks the states, a few thousand uniforms at a time, and numpy
 then clocks those steps as a running sum of exponential holding times and
 cuts them at the end of the run (or raises if the chain reached the basis
-truncation before it). Each loss is recorded as a detection with the
-configured efficiency and routed to one of two detector channels.
+truncation before it). A chunk keeps only what the record reports: the times
+of its decays, its jump count, and the time spent in each state, added step
+by step to one occupancy vector. Every jump's time and state are kept only
+when the photon-number path is asked for. Each decay is then a detection
+with the configured efficiency and routed to one of two detector channels.
 The atoms that pass without emitting are the complementary thinning, a
 Poisson count with mean equal to the integral of r * (1 - beta_bar_{n(t)+1})
 over the run, so ``atoms_injected`` keeps the Poisson(r T) law of the arrivals.
@@ -73,6 +76,12 @@ def simulate(
     gives a cold start that is independent of the theory module. All
     randomness comes from one seeded 64-bit generator, so identical
     (seed, config, duration) reproduce identical output.
+
+    Memory grows with the decays, not with the jumps: a run holds 8 bytes
+    per decay while it walks, and its traced peak, both streams included, is
+    about 11 bytes per jump (21 per decay) on the scaled config.
+    ``record_path=True`` also keeps each jump's time (float64) and state
+    (int64), for a peak of about 28 bytes per jump.
     """
     if duration <= 0.0:
         raise ValueError(f"duration must be positive, got {duration}")
@@ -114,8 +123,11 @@ def simulate(
 
     initial = n
     t = 0.0
-    times = array("d")
-    steps = array("b")
+    jumps = 0
+    decay_times = array("d")
+    occupancy = np.zeros(n_basis + 1)
+    times = array("d", [0.0]) if record_path else None
+    values = array("q", [n]) if record_path else None
     lo = RANDOM_BLOCK
     while True:
         if lo >= RANDOM_BLOCK:
@@ -137,35 +149,50 @@ def simulate(
         clock[0] += t
         np.cumsum(clock, out=clock)
         past = np.flatnonzero(~(clock < duration))
-        end = past[0] if past.size else clock.size
+        end = int(past[0]) if past.size else clock.size
         top = np.flatnonzero(after >= n_basis)
         if top.size and top[0] < end:
             raise TruncationError(
                 f"photon number reached the basis truncation n_max={n_basis} "
                 f"at t={clock[top[0]]:.3e} s; raise n_max"
             )
-        times.frombytes(clock[:end].tobytes())
-        steps.frombytes((after[:end] - before[:end]).astype(np.int8).tobytes())
+        # Time spent in each state, summed in the order of one bincount over
+        # the whole path, so the atom count keeps its bits.
+        held, event_t = before[:end], clock[:end]
+        np.add.at(occupancy, held, np.diff(event_t, prepend=t))
+        decay_times.frombytes(event_t[after[:end] < held].tobytes())
+        jumps += end
+        if record_path:
+            times.frombytes(event_t.tobytes())
+            values.frombytes(after[:end].tobytes())
+        if end:
+            t = event_t[-1]
         if end < clock.size:
             n = int(before[end])
             break
-        t = clock[-1]
         lo = hi
+    occupancy[n] += duration - t
 
-    event_t = np.frombuffer(times)
-    step = np.frombuffer(steps, dtype=np.int8)
-    path_n = np.cumsum(np.concatenate(([initial], step)), dtype=np.int64)
-
-    down = step < 0
-    decays = int(np.count_nonzero(down))
-    emissions = step.size - decays
-    detected = event_t[down][rng.random(decays) < cfg.detection_efficiency]
-    to_ch1 = rng.random(detected.size) < cfg.splitter_ratio
+    decay_t = np.frombuffer(decay_times)
+    decays = decay_t.size
+    emissions = jumps - decays
+    # Thin and route in RANDOM_BLOCK pieces: the uniforms are the same as one
+    # draw of each size. The kept decays move to the front of decay_t in place.
+    detections = 0
+    for begin in range(0, decays, RANDOM_BLOCK):
+        part = decay_t[begin : begin + RANDOM_BLOCK]
+        kept = part[rng.random(part.size) < cfg.detection_efficiency]
+        decay_t[detections : detections + kept.size] = kept
+        detections += kept.size
+    detected = decay_t[:detections]
+    to_ch1 = np.empty(detections, dtype=bool)
+    for begin in range(0, detections, RANDOM_BLOCK):
+        part = to_ch1[begin : begin + RANDOM_BLOCK]
+        np.less(rng.random(part.size), cfg.splitter_ratio, out=part)
+    stream1 = TimestampStream(detected[to_ch1], channel=1, duration=duration)
+    stream2 = TimestampStream(detected[~to_ch1], channel=2, duration=duration)
 
     # Atoms that leave no photon: Poisson with mean int r (1 - beta_bar_{n+1}) dt.
-    dwell = np.append(event_t, duration)
-    dwell[1:] -= event_t
-    occupancy = np.bincount(path_n, weights=dwell, minlength=n_basis + 1)
     passed = rng.poisson(max(float((r - birth) @ occupancy), 0.0))
 
     return TrajectoryRecord(
@@ -175,14 +202,14 @@ def simulate(
         n_basis=n_basis,
         initial_n=initial,
         final_n=n,
-        path_times=np.concatenate(([0.0], event_t)) if record_path else None,
-        path_values=path_n if record_path else None,
-        stream1=TimestampStream(detected[to_ch1], channel=1, duration=duration),
-        stream2=TimestampStream(detected[~to_ch1], channel=2, duration=duration),
+        path_times=np.frombuffer(times) if record_path else None,
+        path_values=np.frombuffer(values, dtype=np.int64) if record_path else None,
+        stream1=stream1,
+        stream2=stream2,
         atoms_injected=emissions + int(passed),
         emissions=emissions,
         decays=decays,
-        detections=detected.size,
+        detections=detections,
     )
 
 

@@ -227,6 +227,31 @@ def test_correlate_validation():
             correlate(a, b, 1e-9, 1e-6)
 
 
+@pytest.mark.parametrize(
+    "text, cpus",
+    [("max 100000", None), ("150000 100000\n", 2), ("50000 100000", 1), ("200000 100000", 2),
+     ("", None), ("max", None), ("0 100000", None), ("100000 0", None), ("1 2 3", None),
+     ("x 100000", None), ("\x00\xff", None)],
+)
+def test_quota_cpus(text, cpus):
+    assert correlator_module._quota_cpus(text) == cpus
+
+
+def test_usable_cpus_respects_the_cpu_quota(monkeypatch, tmp_path):
+    monkeypatch.setattr(correlator_module.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    cpu_max = tmp_path / "cpu.max"
+    monkeypatch.setattr(correlator_module, "CGROUP_CPU_MAX", str(cpu_max))
+    assert correlator_module._usable_cpus() == 4  # no file
+    for text, cpus in (("150000 100000\n", 2), ("800000 100000\n", 4),
+                       ("max 100000\n", 4), ("garbage\n", 4)):
+        cpu_max.write_text(text)
+        assert correlator_module._usable_cpus() == cpus
+    cpu_max.write_bytes(b"\xff\xfe 1\n")  # not text
+    assert correlator_module._usable_cpus() == 4
+    monkeypatch.setattr(correlator_module, "CGROUP_CPU_MAX", str(tmp_path))  # unreadable
+    assert correlator_module._usable_cpus() == 4
+
+
 @pytest.mark.parametrize("failing", [0, 1])
 def test_failing_share_stops_the_other_workers(monkeypatch, failing):
     # when one share raises, the other stops at its next chunk and correlate

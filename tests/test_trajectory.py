@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -278,27 +279,35 @@ def test_golden_records(name):
 def _per_event_loop(cfg, dist, duration, seed, initial_n):
     """Reference: the jump chain one event at a time, on the same random draws.
 
-    Returns the path times and values and the two channels' times, or raises
-    TruncationError as ``simulate`` must.
+    Returns the path times and values, the two channels' times and the atom
+    count, or raises TruncationError as ``simulate`` must.
     """
     rng = np.random.default_rng(seed)
     n_basis = effective_n_max(cfg)
-    birth = injection_rate(cfg) * averaged_beta_table(n_basis + 1, cfg, dist)
+    r = injection_rate(cfg)
+    birth = r * averaged_beta_table(n_basis + 1, cfg, dist)
     total = birth + cfg.gamma_c * np.arange(n_basis + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         mean_wait = (1.0 / total).tolist()
         p_up = np.where(total > 0.0, birth / total, 0.0).tolist()
+    occupancy = [0.0] * (n_basis + 1)
     n, t, times, values = initial_n, 0.0, [0.0], [initial_n]
     while True:
         exps = rng.standard_exponential(RANDOM_BLOCK).tolist()
         unis = rng.random(RANDOM_BLOCK).tolist()
         for e, u in zip(exps, unis):
+            t_left = t
             t += e * mean_wait[n]
             if not t < duration:
-                decays = np.array(times[1:])[np.diff(values) < 0]
+                occupancy[n] += duration - t_left
+                steps = np.diff(values)
+                decays = np.array(times[1:])[steps < 0]
                 detected = decays[rng.random(decays.size) < cfg.detection_efficiency]
                 to_ch1 = rng.random(detected.size) < cfg.splitter_ratio
-                return times, values, detected[to_ch1], detected[~to_ch1]
+                passed = rng.poisson(max(float((r - birth) @ np.array(occupancy)), 0.0))
+                atoms = np.count_nonzero(steps > 0) + int(passed)
+                return times, values, detected[to_ch1], detected[~to_ch1], atoms
+            occupancy[n] += t - t_left
             n += 1 if u < p_up[n] else -1
             if n >= n_basis:
                 raise TruncationError(
@@ -324,10 +333,12 @@ def test_matches_per_event_loop(config_seed, run_seed, lifetimes, n_max, start, 
     initial_n = round(start * effective_n_max(cfg))
     duration = lifetimes / cfg.gamma_c
     try:
-        times, values, ch1, ch2 = _per_event_loop(cfg, dist, duration, run_seed, initial_n)
+        times, values, ch1, ch2, atoms = _per_event_loop(cfg, dist, duration, run_seed, initial_n)
     except TruncationError as exc:
-        with pytest.raises(TruncationError, match=re.escape(str(exc))):
-            simulate(cfg, dist, duration, seed=run_seed, initial_n=initial_n)
+        for record_path in (True, False):
+            with pytest.raises(TruncationError, match=re.escape(str(exc))):
+                simulate(cfg, dist, duration, seed=run_seed, initial_n=initial_n,
+                         record_path=record_path)
         return
     rec = simulate(cfg, dist, duration, seed=run_seed, initial_n=initial_n)
     assert np.array_equal(rec.path_times, times)
@@ -335,6 +346,28 @@ def test_matches_per_event_loop(config_seed, run_seed, lifetimes, n_max, start, 
     assert rec.final_n == values[-1]
     assert np.array_equal(rec.stream1.times, ch1)
     assert np.array_equal(rec.stream2.times, ch2)
+    assert rec.atoms_injected == atoms
+    # without the path: the same draws, streams and bookkeeping
+    bare = simulate(cfg, dist, duration, seed=run_seed, initial_n=initial_n, record_path=False)
+    assert bare.path_times is None and bare.path_values is None
+    assert np.array_equal(bare.stream1.times, rec.stream1.times)
+    assert np.array_equal(bare.stream2.times, rec.stream2.times)
+    for field in ("final_n", "atoms_injected", "emissions", "decays", "detections"):
+        assert getattr(bare, field) == getattr(rec, field)
+
+
+def test_memory_grows_with_decays_not_jumps(scaled_cfg, scaled_dist):
+    # without a path, a run keeps the decay times (8 B each), the two streams
+    # and per-chunk scratch, about 21 B per decay in all; keeping every jump
+    # as a time and a step until the end of the run took about 75 B per decay
+    tracemalloc.start()
+    try:
+        rec = simulate(scaled_cfg, scaled_dist, 20e-3, seed=1, record_path=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.decays > 500_000
+    assert peak <= 40 * rec.decays + 2_000_000
 
 
 def test_truncation_only_before_the_end(scaled_cfg, scaled_dist):
@@ -426,6 +459,9 @@ def test_simulate_record_invariants(config_seed, run_seed, lifetimes, efficiency
     assert rec.emissions == np.count_nonzero(steps > 0)
     assert rec.stream1.count + rec.stream2.count == rec.detections <= rec.decays
     assert rec.atoms_injected >= rec.emissions
+    # plain ints, so that the counts serialize to JSON
+    for field in ("initial_n", "final_n", "atoms_injected", "emissions", "decays", "detections"):
+        assert type(getattr(rec, field)) is int
     for stream in (rec.stream1, rec.stream2):
         t = stream.times
         assert np.all(np.diff(t) >= 0.0)
