@@ -33,6 +33,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
+# Path CSV rows are formatted and written this many at a time.
+PATH_CSV_BLOCK = 65536
+
 
 @dataclass
 class RunManifest:
@@ -221,8 +224,13 @@ def cmd_simulate(args) -> int:
             for line in manifest.header_lines():
                 fh.write(f"# {line}\n")
             fh.write("time_s,n\n")
-            for t, n in zip(rec.path_times, rec.path_values):
-                fh.write(f"{t:.12g},{n}\n")
+            for i in range(0, rec.path_times.size, PATH_CSV_BLOCK):
+                block = slice(i, i + PATH_CSV_BLOCK)
+                fh.write("".join(map(
+                    "{:.12g},{}\n".format,
+                    rec.path_times[block].tolist(),
+                    rec.path_values[block].tolist(),
+                )))
     manifest.write(f"{args.out_prefix}.manifest.txt")
     print(
         f"simulate: duration {rec.duration:g} s, atoms {rec.atoms_injected}, "

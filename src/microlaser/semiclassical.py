@@ -7,10 +7,15 @@ photon-number fluctuations, hence the correlation time and the Mandel Q of
 the operating point. Sweeping the pump while following the nearest stable
 branch reproduces the multistable staircase of the mean photon number,
 including its hysteretic jumps.
+
+beta_bar does not depend on the pump, so a sweep tabulates it once on the
+root-scan grid and bisects the brackets of every pump together;
+``find_fixed_points`` is the one-pump case of the same census.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +104,115 @@ def _classify(n0: float, cfg, dist) -> FixedPoint:
     return FixedPoint(n0=n0, stable=stable, restoring_rate=d, tau_c=tau_c, q_semiclassical=q)
 
 
+def _scan_max(cfg: MicrolaserConfig, n_scan_max: float | None) -> float:
+    """The upper end of the root scan, checked before any beta-bar is computed."""
+    if n_scan_max is None:
+        # G <= r implies every root obeys n <= r / Gamma_c.
+        n_scan_max = 1.1 * injection_rate(cfg) / cfg.gamma_c + 10.0
+        if not math.isfinite(n_scan_max):
+            raise ValueError(f"n_atoms_mean must be finite, got {cfg.n_atoms_mean}")
+    elif not math.isfinite(n_scan_max):
+        raise ValueError(f"n_scan_max must be finite, got {n_scan_max}")
+    if n_scan_max < 1.0:
+        raise ValueError(f"n_scan_max must be >= 1, got {n_scan_max}")
+    return n_scan_max
+
+
+def _beta_each(k: np.ndarray, theta: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """beta-bar at each k with the bits of the scalar ``averaged_beta(k)``.
+
+    A stacked matmul takes one dot product per row, as the scalar call does;
+    a plain matrix-vector product rounds some rows differently.
+    """
+    phases = np.sqrt(k)[:, None] * theta
+    np.sin(phases, phases)
+    np.square(phases, phases)
+    return (phases[:, None, :] @ weights)[:, 0]
+
+
+def _roots(
+    cfgs: list[MicrolaserConfig],
+    dist: VelocityDistribution,
+    scan_max: list[float],
+    grid_step: float,
+) -> list[list[float]]:
+    """Sorted, deduplicated roots of G - L for configurations that differ only in pump.
+
+    One beta-bar grid of ``grid_step`` photons covers the largest scan range;
+    each pump's residual r * beta-bar - Gamma_c * n is formed on its own
+    prefix, one row at a time. The sign-change brackets of all pumps are then
+    bisected together to ``ROOT_RTOL``. Each bracket takes the steps of a
+    scalar bisection, so the roots do not depend on the other pumps.
+    """
+    cfg0 = cfgs[0]
+    # np.arange(0, s + grid_step, grid_step) holds the first `size` of these points.
+    sizes = [math.ceil((s + grid_step) / grid_step) for s in scan_max]
+    grid = np.arange(max(sizes), dtype=float) * grid_step
+    beta = averaged_beta(grid + 1.0, cfg0, dist)
+    beta_origin = averaged_beta(1.0, cfg0, dist)
+
+    roots: list[list[float]] = [[] for _ in cfgs]
+    on_grid: list[np.ndarray] = []
+    left_ends, f_left, rates, owners = [], [], [], []
+    for p, (cfg, m) in enumerate(zip(cfgs, sizes)):
+        r = injection_rate(cfg)
+        # The origin is a fixed point only when the gain vanishes there.
+        if r * beta_origin <= 1e-12 * max(r, cfg.gamma_c):
+            roots[p].append(0.0)
+        f = r * beta[:m] - cfg.gamma_c * grid[:m]
+        i = np.flatnonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0)
+        left_ends.append(i)
+        f_left.append(f[i])
+        rates.append(np.full(i.size, r))
+        owners.append(np.full(i.size, p))
+        # Grid points that are exact roots (rare but cheap to honor).
+        on_grid.append(grid[:m][f == 0.0])
+
+    brackets = np.concatenate(left_ends)
+    a, b, fa = grid[brackets], grid[brackets + 1], np.concatenate(f_left)
+    rate = np.concatenate(rates)
+    theta = cfg0.g0 * interaction_time(dist.velocities, cfg0.mode_waist)
+    active = np.arange(a.size)
+    while True:
+        width = b[active] - a[active]
+        active = active[width > ROOT_RTOL * np.maximum(1.0, np.abs(b[active]))]
+        if active.size == 0:
+            break
+        mid = 0.5 * (a[active] + b[active])
+        fm = rate[active] * _beta_each(mid + 1.0, theta, dist.weights) - cfg0.gamma_c * mid
+        zero = fm == 0.0
+        left = ~zero & ((fa[active] < 0) == (fm < 0))
+        right = ~zero & ~left
+        a[active[zero]] = b[active[zero]] = mid[zero]
+        a[active[left]], fa[active[left]] = mid[left], fm[left]
+        b[active[right]] = mid[right]
+        active = active[~zero]
+
+    for p, n0 in zip(np.concatenate(owners).tolist(), (0.5 * (a + b)).tolist()):
+        roots[p].append(n0)
+    census = []
+    for found, exact in zip(roots, on_grid):
+        found.extend(exact.tolist())
+        found.sort()
+        deduped: list[float] = []
+        for n0 in found:
+            if not deduped or n0 - deduped[-1] > 1e-6 * max(1.0, n0):
+                deduped.append(n0)
+        census.append(deduped)
+    return census
+
+
+def _census(
+    cfg: MicrolaserConfig, dist: VelocityDistribution, roots: list[float], n_scan_max: float
+) -> list[FixedPoint]:
+    """One pump's fixed points, classified; no root on the scan range is an error."""
+    if not roots:
+        raise NoFixedPointError(
+            f"G - L has no root on [0, {n_scan_max:g}] (n_atoms_mean={cfg.n_atoms_mean:g})"
+        )
+    return [_classify(n0, cfg, dist) for n0 in roots]
+
+
 def find_fixed_points(
     cfg: MicrolaserConfig,
     dist: VelocityDistribution,
@@ -109,53 +223,14 @@ def find_fixed_points(
 
     Sign changes are bracketed on a grid of ``grid_step`` photons and refined
     by bisection to 1e-9 relative. The default scan range covers every
-    possible root since G <= r implies roots obey n <= r / Gamma_c.
+    possible root since G <= r implies roots obey n <= r / Gamma_c. This is
+    the one-pump case of the census that ``sweep`` takes over all its pumps.
     """
-    r = injection_rate(cfg)
-    if n_scan_max is None:
-        n_scan_max = 1.1 * r / cfg.gamma_c + 10.0
-    if n_scan_max < 1.0:
-        raise ValueError(f"n_scan_max must be >= 1, got {n_scan_max}")
-
-    grid = np.arange(0.0, n_scan_max + grid_step, grid_step)
-    f = gain(grid, cfg, dist) - loss(grid, cfg)
-
-    roots: list[float] = []
-    # The origin is a fixed point only when the gain vanishes there.
-    if gain(0.0, cfg, dist) <= 1e-12 * max(r, cfg.gamma_c):
-        roots.append(0.0)
-
-    def residual(n):
-        return float(gain(n, cfg, dist) - loss(n, cfg))
-
-    for i in np.flatnonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0):
-        a, b = float(grid[i]), float(grid[i + 1])
-        fa = float(f[i])
-        while (b - a) > ROOT_RTOL * max(1.0, abs(b)):
-            mid = 0.5 * (a + b)
-            fm = residual(mid)
-            if fm == 0.0:
-                a = b = mid
-                break
-            if (fa < 0) == (fm < 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        roots.append(0.5 * (a + b))
-    # Grid points that are exact roots (rare but cheap to honor).
-    for i in np.flatnonzero(f == 0.0):
-        roots.append(float(grid[i]))
-
-    roots.sort()
-    deduped: list[float] = []
-    for n0 in roots:
-        if not deduped or n0 - deduped[-1] > 1e-6 * max(1.0, n0):
-            deduped.append(n0)
-    if not deduped:
-        raise NoFixedPointError(
-            f"G - L has no root on [0, {n_scan_max:g}] (n_atoms_mean={cfg.n_atoms_mean:g})"
-        )
-    return [_classify(n0, cfg, dist) for n0 in deduped]
+    if not (math.isfinite(grid_step) and grid_step > 0.0):
+        raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
+    scan = _scan_max(cfg, n_scan_max)
+    (roots,) = _roots([cfg], dist, [scan], grid_step)
+    return _census(cfg, dist, roots, scan)
 
 
 def sweep(
@@ -169,8 +244,14 @@ def sweep(
     For each pump value the stable fixed point closest to the previously
     selected one is kept (the first point takes the smallest stable root, the
     branch reachable from an empty cavity). All roots are recorded so branch
-    exhaustion, and hence the jump, is visible in the result. Root-finder
-    failures are recorded per point without aborting the sweep.
+    exhaustion, and hence the jump, is visible in the result.
+
+    The roots of all pumps come from one census: one beta_bar grid for the
+    widest scan range and one bisection over every bracket, giving the same
+    roots as ``find_fixed_points`` pump by pump. A pump with no root on its
+    scan range, or whose roots fail to classify, is recorded per point
+    without aborting the sweep; a pump whose scan range is not finite, or a
+    failure of the shared grid or bisection, raises for the whole sweep.
     """
     n_list = [float(x) for x in n_atoms_list]
     if not n_list:
@@ -183,12 +264,15 @@ def sweep(
     if direction == "down" and not np.all(diffs < 0) and len(n_list) > 1:
         raise ValueError("descending sweep requires strictly decreasing n_atoms_list")
 
+    cfgs = [cfg_template.with_n_atoms(n_atoms) for n_atoms in n_list]
+    scans = [_scan_max(cfg, None) for cfg in cfgs]
     points: list[SweepPoint] = []
     previous: float | None = None
-    for n_atoms in n_list:
-        cfg = cfg_template.with_n_atoms(n_atoms)
+    for n_atoms, cfg, scan, roots in zip(
+        n_list, cfgs, scans, _roots(cfgs, dist, scans, DEFAULT_GRID_STEP)
+    ):
         try:
-            census = find_fixed_points(cfg, dist)
+            census = _census(cfg, dist, roots, scan)
         except Exception as exc:  # recorded, sweep continues
             points.append(SweepPoint(n_atoms, None, (), error=str(exc)))
             continue

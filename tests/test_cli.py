@@ -1,4 +1,5 @@
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -9,8 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from microlaser import cli
 from microlaser.cli import main
+from microlaser.core import VelocityDistribution, load_config
 from microlaser.streams import read_mlts1
+from microlaser.trajectory import simulate
 
 SCALED_CFG = """\
 g0_hz = 650e3
@@ -252,14 +256,29 @@ def test_simulate_counts_near_theory(tmp_path, scaled_cfg_file):
     assert abs(got - expected) < 6.0 * np.sqrt(expected)
 
 
-def test_simulate_path_csv(tmp_path, scaled_cfg_file):
+def test_simulate_path_csv(tmp_path, scaled_cfg_file, monkeypatch):
+    # small blocks, so the run spans several of them and ends in a partial one
+    monkeypatch.setattr(cli, "PATH_CSV_BLOCK", 1000)
+    duration = 50.0 / GAMMA_C
     assert main(["simulate", "--config", str(scaled_cfg_file),
-                 "--duration-s", f"{50.0 / GAMMA_C!r}", "--seed", "2",
+                 "--duration-s", f"{duration!r}", "--seed", "2",
                  "--path-csv", "--out-prefix", str(tmp_path / "p")]) == 0
     rows = body_lines(tmp_path / "p.path.csv")
     assert rows[0] == "time_s,n"
     values = [int(r.split(",")[1]) for r in rows[1:]]
     assert all(v >= 0 for v in values)
+    assert len(values) % 1000 != 0 and len(values) > 2000
+
+    # the rows are byte for byte those of a writer that formats one jump at a time
+    cfg = load_config(scaled_cfg_file)
+    rec = simulate(cfg, VelocityDistribution.from_config(cfg), duration, seed=2,
+                   record_path=True)
+    expected = io.StringIO()
+    expected.write("time_s,n\n")
+    for t, n in zip(rec.path_times, rec.path_values):
+        expected.write(f"{t:.12g},{n}\n")
+    data = (tmp_path / "p.path.csv").read_bytes()
+    assert data[data.index(b"time_s,n\n"):] == expected.getvalue().encode()
 
 
 def test_correlate_fit_roundtrip(tmp_path, scaled_cfg_file):
@@ -451,7 +470,10 @@ NUMPY_ONLY_SCRIPT = """\
 import sys
 for name in ("scipy", "mpmath", "hypothesis"):
     sys.modules[name] = None  # any import of these now raises ImportError
+from microlaser import cli
 from microlaser.cli import main
+from microlaser.core import VelocityDistribution, load_config
+from microlaser.trajectory import simulate
 cfg, out = sys.argv[1], sys.argv[2]
 raise SystemExit(
     main(["predict-g2", "--config", cfg, "--out", out + "/g2.csv"])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microlaser.core import (
     FWHM_PER_SIGMA,
@@ -12,11 +14,16 @@ from microlaser.core import (
     interaction_time,
 )
 from microlaser import semiclassical
+from microlaser.errors import NoFixedPointError
 from microlaser.semiclassical import (
+    FixedPoint,
+    SweepPoint,
+    SweepResult,
     find_fixed_points,
     gain,
     gain_derivative,
     loss,
+    restoring_rate,
     sweep,
 )
 from conftest import random_config
@@ -237,15 +244,15 @@ def test_sweep_validates_order(published_cfg, published_dist):
 
 def test_sweep_records_per_point_failures(published_cfg, published_dist, monkeypatch):
     calls = {"n": 0}
-    real = semiclassical.find_fixed_points
+    real = semiclassical._census
 
-    def flaky(cfg, dist, n_scan_max=None, grid_step=0.25):
+    def flaky(cfg, dist, roots, n_scan_max):
         calls["n"] += 1
         if calls["n"] == 2:
             raise RuntimeError("synthetic root-finder failure")
-        return real(cfg, dist, n_scan_max, grid_step)
+        return real(cfg, dist, roots, n_scan_max)
 
-    monkeypatch.setattr(semiclassical, "find_fixed_points", flaky)
+    monkeypatch.setattr(semiclassical, "_census", flaky)
     result = sweep(published_cfg, published_dist, [10.0, 20.0, 30.0], "up")
     assert result.points[1].error == "synthetic root-finder failure"
     assert result.points[1].selected is None
@@ -254,9 +261,135 @@ def test_sweep_records_per_point_failures(published_cfg, published_dist, monkeyp
 
 
 def test_no_root_on_scan_range_reported_distinctly(scaled_cfg, scaled_dist):
-    from microlaser.errors import NoFixedPointError
-
     # the first root sits near n = 29; a scan capped below it finds nothing
     with pytest.raises(NoFixedPointError):
         find_fixed_points(scaled_cfg, scaled_dist, n_scan_max=2.0)
 
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"grid_step": -0.25}, "grid_step"),
+        ({"grid_step": 0.0}, "grid_step"),
+        ({"grid_step": math.nan}, "grid_step"),
+        ({"grid_step": math.inf}, "grid_step"),
+        ({"n_scan_max": math.nan}, "n_scan_max"),
+        ({"n_scan_max": math.inf}, "n_scan_max"),
+        ({"n_scan_max": 0.5}, "n_scan_max"),
+    ],
+)
+def test_bad_scan_arguments_rejected_before_any_beta(scaled_cfg, scaled_dist, monkeypatch, kwargs, name):
+    def no_beta(*args, **kw):
+        raise AssertionError("beta-bar computed before the arguments were checked")
+
+    monkeypatch.setattr(semiclassical, "averaged_beta", no_beta)
+    with pytest.raises(ValueError, match=name):
+        find_fixed_points(scaled_cfg, scaled_dist, **kwargs)
+
+
+def test_sweep_rejects_an_infinite_pump(scaled_cfg, scaled_dist):
+    with pytest.raises(ValueError, match="n_atoms_mean must be finite"):
+        sweep(scaled_cfg, scaled_dist, [1.0, math.inf], "up")
+
+
+def _scalar_fixed_points(cfg, dist, n_scan_max=None, grid_step=0.25):
+    """Reference: one pump's roots by a scalar bisection of each grid bracket."""
+    r = injection_rate(cfg)
+    if n_scan_max is None:
+        n_scan_max = 1.1 * r / cfg.gamma_c + 10.0
+    grid = np.arange(0.0, n_scan_max + grid_step, grid_step)
+    f = gain(grid, cfg, dist) - loss(grid, cfg)
+
+    roots = []
+    if gain(0.0, cfg, dist) <= 1e-12 * max(r, cfg.gamma_c):
+        roots.append(0.0)
+    for i in np.flatnonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0):
+        a, b = float(grid[i]), float(grid[i + 1])
+        fa = float(f[i])
+        while (b - a) > semiclassical.ROOT_RTOL * max(1.0, abs(b)):
+            mid = 0.5 * (a + b)
+            fm = float(gain(mid, cfg, dist) - loss(mid, cfg))
+            if fm == 0.0:
+                a = b = mid
+                break
+            if (fa < 0) == (fm < 0):
+                a, fa = mid, fm
+            else:
+                b = mid
+        roots.append(0.5 * (a + b))
+    for i in np.flatnonzero(f == 0.0):
+        roots.append(float(grid[i]))
+
+    roots.sort()
+    deduped = []
+    for n0 in roots:
+        if not deduped or n0 - deduped[-1] > 1e-6 * max(1.0, n0):
+            deduped.append(n0)
+    if not deduped:
+        raise NoFixedPointError(
+            f"G - L has no root on [0, {n_scan_max:g}] (n_atoms_mean={cfg.n_atoms_mean:g})"
+        )
+    points = []
+    for n0 in deduped:
+        d = restoring_rate(n0, cfg, dist)
+        if d > 0.0:
+            points.append(FixedPoint(n0, True, d, 1.0 / d, cfg.gamma_c / d - 1.0))
+        else:
+            points.append(FixedPoint(n0, False, d, None, None))
+    return points
+
+
+def _scalar_sweep(cfg_template, dist, n_list, direction):
+    """Reference: the branch-following sweep over one scalar census per pump."""
+    points = []
+    previous = None
+    for n_atoms in n_list:
+        cfg = cfg_template.with_n_atoms(n_atoms)
+        try:
+            census = _scalar_fixed_points(cfg, dist)
+        except Exception as exc:
+            points.append(SweepPoint(n_atoms, None, (), error=str(exc)))
+            continue
+        stable = [fp for fp in census if fp.stable]
+        if not stable:
+            points.append(SweepPoint(n_atoms, None, tuple(census), error="no stable fixed point"))
+            continue
+        if previous is None:
+            chosen = min(stable, key=lambda fp: fp.n0)
+        else:
+            chosen = min(stable, key=lambda fp: abs(fp.n0 - previous))
+        previous = chosen.n0
+        points.append(SweepPoint(n_atoms, chosen, tuple(census)))
+    return SweepResult(direction=direction, points=tuple(points))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    config_seed=st.integers(0, 2**32 - 1),
+    pumps=st.lists(st.floats(0.0, 80.0), min_size=1, max_size=6, unique=True),
+    descending=st.booleans(),
+    grid_step=st.one_of(st.just(1), st.floats(0.05, 1.0)),
+)
+def test_batched_census_matches_scalar_bisection(config_seed, pumps, descending, grid_step):
+    cfg, dist = random_config(np.random.default_rng(config_seed))
+    n_list = sorted(pumps, reverse=descending)
+    direction = "down" if descending else "up"
+    # repr round-trips every float, so equal reprs are equal bits
+    assert repr(sweep(cfg, dist, n_list, direction)) == repr(
+        _scalar_sweep(cfg, dist, n_list, direction)
+    )
+    one = cfg.with_n_atoms(n_list[0])
+    assert repr(find_fixed_points(one, dist, grid_step=grid_step)) == repr(
+        _scalar_fixed_points(one, dist, grid_step=grid_step)
+    )
+
+
+@pytest.mark.parametrize("which", ["scaled", "published"])
+def test_reference_sweeps_match_scalar_bisection(which, request):
+    cfg = request.getfixturevalue(f"{which}_cfg")
+    dist = request.getfixturevalue(f"{which}_dist")
+    n_list = (np.arange(0.5, 40.01, 0.5) if which == "scaled" else np.arange(5.0, 300.01, 5.0)).tolist()
+    for direction, pumps in (("up", n_list), ("down", n_list[::-1])):
+        assert repr(sweep(cfg, dist, pumps, direction)) == repr(
+            _scalar_sweep(cfg, dist, pumps, direction)
+        )
