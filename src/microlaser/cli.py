@@ -8,6 +8,9 @@ Subcommands wire the theory, simulation, and analysis modules together:
     correlate-fit  multi-start multi-stop histogram, g2, exponential fit
     pipeline       simulate -> correlate -> fit -> compare against theory
 
+This module alone writes artifacts: it owns the CSV and report formats and
+the run record (``RunManifest``) written beside each output.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical/truncation error,
 4 I/O error.
 """
@@ -24,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, correlator, quantum, semiclassical, trajectory
-from .core import VelocityDistribution, load_config
+from .core import VelocityDistribution, config_fingerprint, load_config
 from .errors import ConfigError, MicrolaserError
 from .streams import read_stream, write_mlts1
 
@@ -66,28 +69,77 @@ class RunManifest:
         h.update(f"seed={self.seed};version={self.version}".encode())
         return h.hexdigest()
 
-    def header_lines(self) -> list[str]:
-        lines = [
-            f"manifest_hash = {self.hash()}",
-            f"command = {self.command}",
-            f"version = {self.version}",
-        ]
+    def entries(self) -> list[tuple[str, object]]:
+        """(key, value) pairs that head every artifact of the run."""
+        entries = [("manifest_hash", self.hash()), ("command", self.command),
+                   ("version", self.version)]
         if self.seed is not None:
-            lines.append(f"seed = {self.seed}")
-        lines.extend(
-            f"config.{key} = {value}" for key, value in self.config_snapshot.items()
-        )
-        return lines
+            entries.append(("seed", self.seed))
+        return entries + [(f"config.{k}", v) for k, v in self.config_snapshot.items()]
 
     def write(self, path) -> None:
-        lines = [f"{line}" for line in self.header_lines()]
-        for name in self.inputs:
-            lines.append(f"input = {name}")
-        for name in self.outputs:
-            lines.append(f"output = {name}")
+        entries = self.entries() + [("input", name) for name in self.inputs]
+        entries += [("output", name) for name in self.outputs]
         if self.wall_clock_s is not None:
-            lines.append(f"wall_clock_s = {self.wall_clock_s!r}")
-        Path(path).write_text("\n".join(lines) + "\n")
+            entries.append(("wall_clock_s", self.wall_clock_s))
+        _write_report(path, (), entries)
+
+
+def _render(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)  # also None
+
+
+def _write_table(path, header, columns, rows) -> None:
+    """``# key = value`` lines for ``header``, the ``columns`` line, then
+    ``rows``: strings that each end in a newline, one row or a block apiece."""
+    with open(path, "w") as fh:
+        fh.writelines(f"# {key} = {_render(value)}\n" for key, value in header)
+        fh.write(columns + "\n")
+        fh.writelines(rows)
+
+
+def _write_report(path, header, entries) -> None:
+    """``# key = value`` lines for ``header``, then ``key = value`` lines."""
+    with open(path, "w") as fh:
+        fh.writelines(f"# {key} = {_render(value)}\n" for key, value in header)
+        fh.writelines(f"{key} = {_render(value)}\n" for key, value in entries)
+
+
+def _write_estimate(path, header, est: correlator.G2Estimate) -> None:
+    header = header + [
+        ("bin_width_s", est.bin_width), ("window_s", est.window), ("t_acq_s", est.t_acq),
+        ("rate1_hz", est.rate1), ("rate2_hz", est.rate2), ("normalization", est.normalization),
+    ]
+    rows = (f"{t:.17g},{g:.17g},{s:.17g}\n" for t, g, s in zip(est.tau, est.g2, est.sigma))
+    _write_table(path, header, "tau_s,g2,sigma", rows)
+
+
+def _fit_entries(fit, q) -> list[tuple[str, object]]:
+    """Report entries of a fit and, if given, of the Q read off it."""
+    entries = [("c0", fit.c0), ("tau_c_s", fit.tau_c), ("chi2_reduced", fit.chi2_reduced),
+               ("n_bins_used", fit.n_points)]
+    if fit.cov is not None:
+        entries += [("cov_c0_c0", fit.cov[0, 0]), ("cov_c0_tau", fit.cov[0, 1]),
+                    ("cov_tau_tau", fit.cov[1, 1])]
+    if q is not None:
+        entries += [("q_from_c0", q.q_from_c0), ("q_from_tau", q.q_from_tau),
+                    ("q_discrepancy", q.discrepancy)]
+    return entries
+
+
+def _theory(cfg, dist):
+    """(steady state, g2 curve, g2 summary), or None for an empty field."""
+    p = quantum.steady_state(cfg, dist)
+    if p.mean <= 0.0:
+        return None
+    curve = quantum.g2_regression(cfg, dist, steady=p)
+    return p, curve, quantum.q_and_tau_from_g2(curve, p.mean)
 
 
 def _parse_n_range(text: str) -> list[float]:
@@ -135,30 +187,25 @@ def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     rows = []
     for pt in result.points:
-        point_cfg = cfg.with_n_atoms(pt.n_atoms_mean)
-        n_q = q_q = tau_q = None
-        if pt.n_atoms_mean > 0.0:
-            p = quantum.steady_state(point_cfg, dist)
-            n_q = p.mean
-            q_q = p.mandel_q
-            if n_q > 0.0:
-                curve = quantum.g2_regression(point_cfg, dist, steady=p)
-                tau_q = quantum.q_and_tau_from_g2(curve, n_q).tau_c
-        else:
-            n_q = 0.0
+        n_q, q_q, tau_q = 0.0, None, None
+        theory = _theory(cfg.with_n_atoms(pt.n_atoms_mean), dist) if pt.n_atoms_mean > 0.0 else None
+        if theory is not None:
+            p, _, summary = theory
+            n_q, q_q, tau_q = p.mean, p.mandel_q, summary.tau_c
         tau_sc = pt.selected.tau_c if pt.selected is not None else None
         n0 = pt.selected.n0 if pt.selected is not None else None
         rows.append(
             f"{pt.n_atoms_mean:.10g},{_fmt(n0)},{_fmt(n_q)},{_fmt(q_q)},"
-            f"{_fmt(tau_q)},{_fmt(tau_sc)}"
+            f"{_fmt(tau_q)},{_fmt(tau_sc)}\n"
         )
     manifest.wall_clock_s = time.perf_counter() - t0
 
-    lines = [f"# {line}" for line in manifest.header_lines()]
-    lines.append(f"# direction = {result.direction}")
-    lines.append("N_mean,n0_selected,n_mean_quantum,Q_quantum,tau_c_quantum_s,tau_c_semiclassical_s")
-    lines.extend(rows)
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    _write_table(
+        args.out,
+        manifest.entries() + [("direction", result.direction)],
+        "N_mean,n0_selected,n_mean_quantum,Q_quantum,tau_c_quantum_s,tau_c_semiclassical_s",
+        rows,
+    )
     manifest.write(str(args.out) + ".manifest.txt")
     return EXIT_OK
 
@@ -172,22 +219,19 @@ def cmd_predict_g2(args) -> int:
         outputs=[str(args.out)],
     )
     t0 = time.perf_counter()
-    p = quantum.steady_state(cfg, dist)
-    if p.mean <= 0.0:
+    theory = _theory(cfg, dist)
+    if theory is None:
         raise ConfigError("predict-g2 needs a nonempty steady state (n_atoms_mean > 0)")
-    curve = quantum.g2_regression(cfg, dist, steady=p)
-    summary = quantum.q_and_tau_from_g2(curve, p.mean)
+    p, curve, summary = theory
     manifest.wall_clock_s = time.perf_counter() - t0
 
-    header = manifest.header_lines()
-    header.append(f"n_mean = {p.mean!r}")
-    header.append(f"mandel_q_moments = {p.mandel_q!r}")
-    header.append(f"c0 = {summary.c0!r}")
-    header.append(f"tau_c_s = {summary.tau_c!r}")
-    header.append(f"q_from_fit = {summary.q!r}")
-    header.append(f"plateau = {summary.plateau!r}")
-    header.append(f"weight_ratio = {summary.weight_ratio!r}")
-    Path(args.out).write_text(quantum.g2_csv(curve, header))
+    header = manifest.entries() + [
+        ("n_mean", p.mean), ("mandel_q_moments", p.mandel_q), ("c0", summary.c0),
+        ("tau_c_s", summary.tau_c), ("q_from_fit", summary.q), ("plateau", summary.plateau),
+        ("weight_ratio", summary.weight_ratio), ("config_hash", config_fingerprint(cfg, dist)),
+    ]
+    rows = (f"{t:.17g},{v:.17g}\n" for t, v in zip(curve.tau, curve.values))
+    _write_table(args.out, header, "tau_seconds,g2", rows)
     manifest.write(str(args.out) + ".manifest.txt")
     return EXIT_OK
 
@@ -207,30 +251,19 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
     )
     t0 = time.perf_counter()
-    rec = trajectory.simulate(
-        cfg,
-        dist,
-        duration=args.duration_s,
-        seed=args.seed,
-        initial_n=args.cold_start,
-        record_path=args.path_csv,
-    )
+    rec = trajectory.simulate(cfg, dist, duration=args.duration_s, seed=args.seed,
+                              initial_n=args.cold_start, record_path=args.path_csv)
     manifest.wall_clock_s = time.perf_counter() - t0
 
     write_mlts1(rec.stream1, out1)
     write_mlts1(rec.stream2, out2)
     if args.path_csv:
-        with open(outputs[2], "w") as fh:
-            for line in manifest.header_lines():
-                fh.write(f"# {line}\n")
-            fh.write("time_s,n\n")
-            for i in range(0, rec.path_times.size, PATH_CSV_BLOCK):
-                block = slice(i, i + PATH_CSV_BLOCK)
-                fh.write("".join(map(
-                    "{:.12g},{}\n".format,
-                    rec.path_times[block].tolist(),
-                    rec.path_values[block].tolist(),
-                )))
+        blocks = (
+            "".join(map("{:.12g},{}\n".format, rec.path_times[i : i + PATH_CSV_BLOCK].tolist(),
+                        rec.path_values[i : i + PATH_CSV_BLOCK].tolist()))
+            for i in range(0, rec.path_times.size, PATH_CSV_BLOCK)
+        )
+        _write_table(outputs[2], manifest.entries(), "time_s,n", blocks)
     manifest.write(f"{args.out_prefix}.manifest.txt")
     print(
         f"simulate: duration {rec.duration:g} s, atoms {rec.atoms_injected}, "
@@ -262,29 +295,21 @@ def cmd_correlate_fit(args) -> int:
         est = correlator.normalize(hist, mode="tail" if args.tail_normalize else "rates")
     fit = correlator.fit_exponential(est, exclude_below=args.exclude_bins * bin_width)
     q_est = None
-    extra = {
-        "rate1_hz": est.rate1,
-        "rate2_hz": est.rate2,
-        "t_acq_s": est.t_acq,
-        "bin_width_s": bin_width,
-        "window_s": window,
-        "shot_noise_rms": correlator.shot_noise_rms(est.rate1, est.rate2, bin_width, est.t_acq)
-        if est.rate1 > 0 and est.rate2 > 0
-        else None,
-    }
+    shot_noise = None
+    if est.rate1 > 0 and est.rate2 > 0:
+        shot_noise = correlator.shot_noise_rms(est.rate1, est.rate2, bin_width, est.t_acq)
+    extra = [("rate1_hz", est.rate1), ("rate2_hz", est.rate2), ("t_acq_s", est.t_acq),
+             ("bin_width_s", bin_width), ("window_s", window), ("shot_noise_rms", shot_noise)]
     if cfg is not None:
         p = quantum.steady_state(cfg, dist)
         if p.mean > 0.0:
             q_est = correlator.estimate_q(fit, p.mean, cfg.gamma_c)
-            extra["n_mean_theory"] = p.mean
+            extra.append(("n_mean_theory", p.mean))
     manifest.wall_clock_s = time.perf_counter() - t0
 
-    report = correlator.fit_report(fit, q_est, extra, manifest.header_lines())
-    Path(args.out).write_text(report)
+    _write_report(args.out, manifest.entries(), _fit_entries(fit, q_est) + extra)
     if args.g2_csv:
-        Path(args.g2_csv).write_text(
-            correlator.g2_estimate_csv(est, manifest.header_lines())
-        )
+        _write_estimate(args.g2_csv, manifest.entries(), est)
     manifest.write(str(args.out) + ".manifest.txt")
     return EXIT_OK
 
@@ -308,11 +333,10 @@ def cmd_pipeline(args) -> int:
 
     stage = "theory"
     try:
-        p = quantum.steady_state(cfg, dist)
-        if p.mean <= 0.0:
+        solved = _theory(cfg, dist)
+        if solved is None:
             raise ConfigError("pipeline needs a nonempty steady state")
-        curve = quantum.g2_regression(cfg, dist, steady=p)
-        theory = quantum.q_and_tau_from_g2(curve, p.mean)
+        p, _, theory = solved
 
         stage = "simulate"
         rec = trajectory.simulate(
@@ -327,7 +351,9 @@ def cmd_pipeline(args) -> int:
         stream1 = read_stream(out1)
         stream2 = read_stream(out2)
         bin_width = args.bin_ns * 1e-9
-        window = args.window_us * 1e-6 if args.window_us else 5.0 / cfg.gamma_c
+        window = quantum.DEFAULT_TAU_SPAN_LIFETIMES / cfg.gamma_c
+        if args.window_us:
+            window = args.window_us * 1e-6
         hist = correlator.correlate(stream1, stream2, bin_width, window)
         est = correlator.normalize(hist)
 
@@ -345,23 +371,15 @@ def cmd_pipeline(args) -> int:
     z_c0 = (fit.c0 - theory.c0) / fit.c0_sigma if fit.c0_sigma else None
     manifest.wall_clock_s = time.perf_counter() - t0
 
-    extra = {
-        "n_mean_theory": p.mean,
-        "q_theory_moments": p.mandel_q,
-        "q_theory_fit": theory.q,
-        "tau_c_theory_s": theory.tau_c,
-        "c0_theory": theory.c0,
-        "z_tau_c": z_tau,
-        "z_c0": z_c0,
-        "sign_match_c0": (fit.c0 * theory.c0 > 0.0),
-        "detections_ch1": rec.stream1.count,
-        "detections_ch2": rec.stream2.count,
-        "duration_s": args.duration_s,
-    }
-    report_path.write_text(
-        correlator.fit_report(fit, q_est, extra, manifest.header_lines())
-    )
-    g2_csv_path.write_text(correlator.g2_estimate_csv(est, manifest.header_lines()))
+    extra = [
+        ("n_mean_theory", p.mean), ("q_theory_moments", p.mandel_q), ("q_theory_fit", theory.q),
+        ("tau_c_theory_s", theory.tau_c), ("c0_theory", theory.c0), ("z_tau_c", z_tau),
+        ("z_c0", z_c0), ("sign_match_c0", fit.c0 * theory.c0 > 0.0),
+        ("detections_ch1", rec.stream1.count), ("detections_ch2", rec.stream2.count),
+        ("duration_s", args.duration_s),
+    ]
+    _write_report(report_path, manifest.entries(), _fit_entries(fit, q_est) + extra)
+    _write_estimate(g2_csv_path, manifest.entries(), est)
     manifest.write(out_dir / "manifest.txt")
     theory_tau = (
         f"theory tau_c {theory.tau_c:.4g} s"
@@ -460,6 +478,11 @@ def main(argv=None) -> int:
         # argparse uses 2 for usage errors, which matches our config-error code
         return int(exc.code) if exc.code else EXIT_OK
     try:
+        # counts that no config makes valid are refused before any input is read
+        if args.quadrature_nodes < 1:
+            raise ConfigError(f"--quadrature-nodes must be >= 1, got {args.quadrature_nodes}")
+        if getattr(args, "exclude_bins", 0) < 0:
+            raise ConfigError(f"--exclude-bins must be >= 0, got {args.exclude_bins}")
         return args.func(args)
     except ConfigError as exc:
         print(f"microlaser {args.command}: configuration error: {exc}", file=sys.stderr)

@@ -39,6 +39,9 @@ the floor. The upper bound is a right search at s + reach, with reach one
 ulp above the binned window: it keeps every stop whose float delay can
 round into the last bin, as the brute-force floor((t - s) / bin_width)
 keeps it, and what it keeps past the last bin is cut off after the bincount.
+
+One constructor, ``_estimate``, builds every g2 estimate from pair counts
+and a baseline. The module writes no files; ``cli`` formats its results.
 """
 
 from __future__ import annotations
@@ -299,9 +302,10 @@ def normalize(
     """Convert pair counts to g2 with per-bin Poisson sigmas.
 
     ``rates`` divides by the analytic uncorrelated baseline
-    rate1 * rate2 * bin_width * t_acq (exact for synthetic streams whose
-    rates are known); ``tail`` divides by the mean count of the trailing
-    bins, which tolerates rate drift in real data.
+    rate1 * rate2 * bin_width * t_acq, which leaves out that a start within
+    tau of the end of the run has no stop at delay tau; ``tail`` divides by
+    the mean count of the trailing bins, which tolerates rate drift in real
+    data.
     """
     if h.t_acq <= 0.0:
         raise NormalizationError(f"t_acq must be positive, got {h.t_acq}")
@@ -310,7 +314,7 @@ def normalize(
             raise NormalizationError(
                 f"undefined normalization: rates ({h.rate1:g}, {h.rate2:g}) must be positive"
             )
-        baseline = h.rate1 * h.rate2 * h.bin_width * h.t_acq
+        baseline = _uncorrelated_pairs(h)
     elif mode == "tail":
         n_tail = max(1, int(tail_fraction * h.n_bins))
         baseline = float(h.counts[-n_tail:].mean())
@@ -318,19 +322,7 @@ def normalize(
             raise NormalizationError("undefined normalization: empty tail bins")
     else:
         raise ValueError(f"unknown normalization mode {mode!r}")
-    counts = h.counts.astype(float)
-    return G2Estimate(
-        tau=h.tau_centers,
-        g2=counts / baseline,
-        sigma=np.sqrt(counts) / baseline,
-        normalization=baseline,
-        counts=h.counts,
-        bin_width=h.bin_width,
-        window=h.window,
-        t_acq=h.t_acq,
-        rate1=h.rate1,
-        rate2=h.rate2,
-    )
+    return _estimate(h, h.counts, baseline)
 
 
 def g2_symmetric(
@@ -342,21 +334,31 @@ def g2_symmetric(
     """Average the (a, b) and (b, a) estimates; stationarity makes g2 even in tau."""
     h_ab = correlate(a, b, bin_width, window)
     h_ba = correlate(b, a, bin_width, window)
-    counts = h_ab.counts + h_ba.counts
-    baseline = 2.0 * h_ab.rate1 * h_ab.rate2 * bin_width * h_ab.t_acq
+    baseline = 2.0 * _uncorrelated_pairs(h_ab)
     if baseline <= 0.0:
         raise NormalizationError("undefined normalization: zero rate")
+    return _estimate(h_ab, h_ab.counts + h_ba.counts, baseline)
+
+
+def _uncorrelated_pairs(h: CorrelationHistogram) -> float:
+    """Expected pairs per bin of uncorrelated streams: rate1 * rate2 * bin_width * t_acq."""
+    return h.rate1 * h.rate2 * h.bin_width * h.t_acq
+
+
+def _estimate(h: CorrelationHistogram, counts: np.ndarray, baseline: float) -> G2Estimate:
+    """g2 = counts / baseline on the bins of ``h``, with Poisson sigmas."""
+    c = counts.astype(float)
     return G2Estimate(
-        tau=h_ab.tau_centers,
-        g2=counts / baseline,
-        sigma=np.sqrt(counts.astype(float)) / baseline,
+        tau=h.tau_centers,
+        g2=c / baseline,
+        sigma=np.sqrt(c) / baseline,
         normalization=baseline,
         counts=counts,
-        bin_width=bin_width,
-        window=window,
-        t_acq=h_ab.t_acq,
-        rate1=h_ab.rate1,
-        rate2=h_ab.rate2,
+        bin_width=h.bin_width,
+        window=h.window,
+        t_acq=h.t_acq,
+        rate1=h.rate1,
+        rate2=h.rate2,
     )
 
 
@@ -394,56 +396,3 @@ def estimate_q(fit: ExpFit, n_mean: float, gamma_c: float) -> QEstimate:
     q_tau = gamma_c * fit.tau_c - 1.0
     return QEstimate(q_from_c0=q_c0, q_from_tau=q_tau, discrepancy=q_c0 - q_tau)
 
-
-def g2_estimate_csv(est: G2Estimate, header_lines=()) -> str:
-    lines = [f"# {line}" for line in header_lines]
-    lines.append(f"# bin_width_s = {est.bin_width!r}")
-    lines.append(f"# window_s = {est.window!r}")
-    lines.append(f"# t_acq_s = {est.t_acq!r}")
-    lines.append(f"# rate1_hz = {est.rate1!r}")
-    lines.append(f"# rate2_hz = {est.rate2!r}")
-    lines.append(f"# normalization = {est.normalization!r}")
-    lines.append("tau_s,g2,sigma")
-    lines.extend(
-        f"{t:.17g},{g:.17g},{s:.17g}"
-        for t, g, s in zip(est.tau, est.g2, est.sigma)
-    )
-    return "\n".join(lines) + "\n"
-
-
-def _render(value) -> str:
-    if value is None:
-        return "None"
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def fit_report(fit: ExpFit, q: QEstimate | None = None, extra=None, header_lines=()) -> str:
-    """Flat key = value report of a fit (and optional Q extraction)."""
-    lines = [f"# {line}" for line in header_lines]
-    entries: list[tuple[str, object]] = [
-        ("c0", fit.c0),
-        ("tau_c_s", fit.tau_c),
-        ("chi2_reduced", fit.chi2_reduced),
-        ("n_bins_used", fit.n_points),
-    ]
-    if fit.cov is not None:
-        entries += [
-            ("cov_c0_c0", fit.cov[0, 0]),
-            ("cov_c0_tau", fit.cov[0, 1]),
-            ("cov_tau_tau", fit.cov[1, 1]),
-        ]
-    if q is not None:
-        entries += [
-            ("q_from_c0", q.q_from_c0),
-            ("q_from_tau", q.q_from_tau),
-            ("q_discrepancy", q.discrepancy),
-        ]
-    entries += list((extra or {}).items())
-    lines.extend(f"{key} = {_render(value)}" for key, value in entries)
-    return "\n".join(lines) + "\n"

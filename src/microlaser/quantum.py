@@ -6,14 +6,15 @@ The photon-number populations obey a birth-death master equation
               + Gamma_c [(n+1) P_{n+1} - n P_n]
 
 with velocity-averaged emission probabilities beta_bar and a reflecting
-truncation (beta_bar_{n_max+1} := 0). Detailed balance gives the steady state
-in product form. Two-time intensity correlations follow from propagating the
+truncation (beta_bar_{n_max+1} := 0). ``build_generator`` forms these rates,
+for the simulation too. Detailed balance gives the steady state in product
+form. Two-time intensity correlations follow from propagating the
 annihilation-collapsed diagonal under the same generator (see
 docs/g2_initial_condition.md for the initial condition). Detailed balance also
 makes the generator symmetric under D = diag(sqrt(P_ss)), so that propagation
 is one eigendecomposition per contiguous run of occupied states (the
 Karlin-McGregor spectral representation of a birth-death process) rather than
-a time integration.
+a time integration. A ``G2Curve`` carries no config hash.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .core import (
     MicrolaserConfig,
     VelocityDistribution,
     averaged_beta_table,
-    config_fingerprint,
     injection_rate,
     interaction_time,
 )
@@ -130,25 +130,22 @@ def steady_state(
 ) -> PhotonDistribution:
     """Detailed-balance steady state P_n = P_0 prod_k r beta_bar_k / (Gamma_c k).
 
-    Accumulated in log space to dodge overflow, then normalized. If the tail
-    check fails at the requested truncation, the basis is doubled once before
-    giving up with a TruncationError.
+    The rates come from ``build_generator``; the product is accumulated in log
+    space to dodge overflow, then normalized. If the tail check fails at the
+    requested truncation, the basis is doubled once before giving up with a
+    TruncationError.
     """
     size = n_max if n_max is not None else effective_n_max(cfg)
-    r = injection_rate(cfg)
     for attempt in range(2):
-        beta_bar = averaged_beta_table(size, cfg, dist)
-        k = np.arange(1, size + 1, dtype=float)
+        gen = build_generator(cfg, dist, size)
         with np.errstate(divide="ignore"):
-            log_ratio = np.log(r * beta_bar) - np.log(cfg.gamma_c * k)
+            log_ratio = np.log(gen.birth[:-1]) - np.log(gen.death[1:])
         log_p = np.concatenate(([0.0], np.cumsum(log_ratio)))
         log_p -= log_p.max()
         with np.errstate(divide="ignore"):
             p = np.exp(log_p)
         p /= p.sum()
-        adequate, tail_mass, beyond = _truncation_report(
-            p, r * beta_bar[-1], cfg.gamma_c * size
-        )
+        adequate, tail_mass, beyond = _truncation_report(p, gen.birth[-2], gen.death[-1])
         if adequate:
             return PhotonDistribution(p)
         if attempt == 0:
@@ -190,6 +187,7 @@ def build_generator(
     dist: VelocityDistribution,
     n_max: int | None = None,
 ) -> MasterEquationGenerator:
+    """Birth r * beta_bar_{n+1} and death Gamma_c * n on 0..n_max, formed only here."""
     size = n_max if n_max is not None else effective_n_max(cfg)
     r = injection_rate(cfg)
     beta_bar = averaged_beta_table(size, cfg, dist)
@@ -204,7 +202,7 @@ def build_generator(
 
 @dataclass(frozen=True)
 class G2Curve:
-    """Theoretical g2(tau) samples, their spectrum and the configuration fingerprint.
+    """Theoretical g2(tau) samples and their spectrum.
 
     g2(tau) - 1 = plateau + sum_k weights[k] exp(rates[k] tau): ``rates`` are
     the (negative) eigenvalues of the decaying modes and ``plateau`` is
@@ -214,7 +212,6 @@ class G2Curve:
 
     tau: np.ndarray
     values: np.ndarray
-    config_hash: str
     rates: np.ndarray
     weights: np.ndarray
     plateau: float
@@ -352,7 +349,6 @@ def g2_regression(
     return G2Curve(
         tau=taus,
         values=correlator / norm,
-        config_hash=config_fingerprint(cfg, dist),
         rates=np.concatenate(rates),
         weights=np.concatenate(weights) / norm,
         plateau=float(stationary / norm - 1.0),
@@ -434,12 +430,3 @@ def validity_check(
         questionable=ratio > threshold,
     )
 
-
-def g2_csv(curve: G2Curve, header_lines=()) -> str:
-    lines = [f"# {line}" for line in header_lines]
-    lines.append(f"# config_hash = {curve.config_hash}")
-    lines.append("tau_seconds,g2")
-    lines.extend(
-        f"{t:.17g},{v:.17g}" for t, v in zip(curve.tau, curve.values)
-    )
-    return "\n".join(lines) + "\n"

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MicrolaserConfig, VelocityDistribution, averaged_beta_table, injection_rate
+from .core import MicrolaserConfig, VelocityDistribution, injection_rate
 from .errors import TruncationError
-from .quantum import PhotonDistribution, effective_n_max, steady_state
+from .quantum import PhotonDistribution, build_generator, effective_n_max, steady_state
 from .streams import TimestampStream
 
 DEFAULT_BURN_IN_LIFETIMES = 20.0
@@ -83,8 +83,8 @@ def simulate(
     ``record_path=True`` also keeps each jump's time (float64) and state
     (int64), for a peak of about 28 bytes per jump.
     """
-    if duration <= 0.0:
-        raise ValueError(f"duration must be positive, got {duration}")
+    if not (np.isfinite(duration) and duration > 0.0):
+        raise ValueError(f"duration must be positive and finite, got {duration}")
     rng = np.random.default_rng(seed)
 
     if initial_n is None:
@@ -103,12 +103,12 @@ def simulate(
             )
         n = initial_n
 
-    r = injection_rate(cfg)
-    gamma_c = cfg.gamma_c
-    # birth[k] = r * beta_bar_{k+1}; k runs to n_basis because a start at
-    # n_basis is allowed (it raises on its first emission).
-    birth = r * averaged_beta_table(n_basis + 1, cfg, dist)
-    total = birth + gamma_c * np.arange(n_basis + 1)
+    # The rates of the number-basis theory, birth[k] = r * beta_bar_{k+1}: k
+    # runs to n_basis because a start at n_basis is allowed (it raises on its
+    # first emission).
+    gen = build_generator(cfg, dist, n_basis + 1)
+    birth = gen.birth[:-1]
+    total = -gen.diag[:-1]
     # A state with no way out (n = 0 without pump) waits forever: its mean
     # wait is inf, so the clock passes the end of the run.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -193,7 +193,7 @@ def simulate(
     stream2 = TimestampStream(detected[~to_ch1], channel=2, duration=duration)
 
     # Atoms that leave no photon: Poisson with mean int r (1 - beta_bar_{n+1}) dt.
-    passed = rng.poisson(max(float((r - birth) @ occupancy), 0.0))
+    passed = rng.poisson(max(float((injection_rate(cfg) - birth) @ occupancy), 0.0))
 
     return TrajectoryRecord(
         seed=seed,

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -305,6 +306,8 @@ def test_correlate_fit_roundtrip(tmp_path, scaled_cfg_file):
     assert "chi2_reduced" in entries
     rows = body_lines(g2_csv)
     assert rows[0] == "tau_s,g2,sigma"
+    n_bins = math.ceil(float(entries["window_s"]) / float(entries["bin_width_s"]) - 1e-9)
+    assert len(rows) == n_bins + 1
 
 
 def test_correlate_fit_flat_poisson(tmp_path, scaled_cfg_file):
@@ -447,6 +450,18 @@ def test_exit_code_config_error(tmp_path):
     cfg.write_text(SCALED_CFG)
     assert main(["sweep", "--config", str(cfg), "--n-range", "5:1:1",
                  "--out", str(tmp_path / "x")]) == 2
+    # counts no config makes valid, refused before any file is read: a
+    # missing config or stream would otherwise exit 4
+    for nodes in ("0", "-4"):
+        for config in (missing, CONFIGS / "scaled.cfg", CONFIGS / "published.cfg"):
+            assert main(["predict-g2", "--config", str(config), "--quadrature-nodes", nodes,
+                         "--out", str(tmp_path / "x")]) == 2
+    assert main(["correlate-fit", str(tmp_path / "no1"), str(tmp_path / "no2"),
+                 "--window-us", "1", "--exclude-bins", "-3", "--out", str(tmp_path / "x")]) == 2
+    assert main(["correlate-fit", str(tmp_path / "no1"), str(tmp_path / "no2"),
+                 "--window-us", "1", "--quadrature-nodes", "0",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_exit_code_numerical_error(tmp_path):
@@ -454,6 +469,32 @@ def test_exit_code_numerical_error(tmp_path):
     cfg.write_text(SCALED_CFG.replace("n_max = 256", "n_max = 8"))
     code = main(["predict-g2", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
     assert code == 3
+
+
+def test_infinite_duration_is_a_numerical_error(tmp_path, scaled_cfg_file):
+    assert main(["simulate", "--config", str(scaled_cfg_file), "--duration-s", "inf",
+                 "--out-prefix", str(tmp_path / "run")]) == 3
+    assert main(["pipeline", "--config", str(scaled_cfg_file), "--duration-s", "inf",
+                 "--out-dir", str(tmp_path / "p")]) == 3
+    assert not list(tmp_path.glob("**/*.mlts1"))
+
+
+def test_writers_render_each_value_type(tmp_path):
+    values = [
+        ("none", None), ("flag", True), ("np_flag", np.bool_(False)), ("count", 3),
+        ("np_count", np.int64(-7)), ("x", 0.1), ("np_x", np.float64(2.5e-7)), ("name", "a b"),
+    ]
+    text = (
+        "none = None\nflag = True\nnp_flag = False\ncount = 3\nnp_count = -7\n"
+        "x = 0.1\nnp_x = 2.5e-07\nname = a b\n"
+    )
+    header = "".join(f"# {line}\n" for line in text.splitlines())
+    report = tmp_path / "report.txt"
+    cli._write_report(report, values[:2], values)
+    assert report.read_text() == "# none = None\n# flag = True\n" + text
+    table = tmp_path / "table.csv"
+    cli._write_table(table, values, "a,b", iter(["1,2\n", "3,4\n5,6\n"]))
+    assert table.read_text() == header + "a,b\n1,2\n3,4\n5,6\n"
 
 
 def test_exit_code_io_error(tmp_path, scaled_cfg_file):

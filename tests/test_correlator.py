@@ -14,8 +14,6 @@ from microlaser.correlator import (
     correlate,
     estimate_q,
     fit_exponential,
-    fit_report,
-    g2_estimate_csv,
     g2_symmetric,
     merge_histograms,
     normalize,
@@ -331,6 +329,58 @@ def test_normalize_modes_and_errors():
         normalize(h, mode="bogus")
 
 
+def _reference_estimate(counts, baseline):
+    """g2, sigma, counts and normalization as normalize built them in place."""
+    c = counts.astype(float)
+    return c / baseline, np.sqrt(c) / baseline, counts, baseline
+
+
+def _reference_symmetric(a, b, bin_width, window):
+    """g2_symmetric as it built its estimate in place: summed counts over
+    2 * rate1 * rate2 * bin_width * t_acq, multiplied left to right."""
+    h_ab = correlate(a, b, bin_width, window)
+    h_ba = correlate(b, a, bin_width, window)
+    counts = h_ab.counts + h_ba.counts
+    baseline = 2.0 * h_ab.rate1 * h_ab.rate2 * bin_width * h_ab.t_acq
+    return counts / baseline, np.sqrt(counts.astype(float)) / baseline, counts, baseline
+
+
+def _assert_estimate_is(est, reference):
+    g2, sigma, counts, baseline = reference
+    assert np.array_equal(est.g2, g2)
+    assert np.array_equal(est.sigma, sigma)
+    assert np.array_equal(est.counts, counts) and est.counts.dtype == np.int64
+    assert est.normalization == baseline
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_estimates_match_reference_bits(seed):
+    rng = np.random.default_rng(seed)
+    duration = rng.uniform(0.5, 3.0)
+    a = poisson_stream(rng, rng.uniform(1e3, 5e4), duration, 1)
+    b = poisson_stream(rng, rng.uniform(1e3, 5e4), duration, 2)
+    bin_width, window = rng.uniform(1e-6, 4e-6), rng.uniform(2e-4, 6e-4)
+    h = correlate(a, b, bin_width, window)
+    _assert_estimate_is(
+        normalize(h), _reference_estimate(h.counts, h.rate1 * h.rate2 * h.bin_width * h.t_acq)
+    )
+    n_tail = max(1, int(0.25 * h.n_bins))
+    _assert_estimate_is(
+        normalize(h, mode="tail"),
+        _reference_estimate(h.counts, float(h.counts[-n_tail:].mean())),
+    )
+    _assert_estimate_is(
+        g2_symmetric(a, b, bin_width, window), _reference_symmetric(a, b, bin_width, window)
+    )
+
+
+def test_symmetric_rejects_a_silent_channel():
+    a = TimestampStream(np.array([0.1, 0.2]), 1, 1.0)
+    b = TimestampStream(np.empty(0), 2, 1.0)
+    with pytest.raises(NormalizationError, match="zero rate"):
+        g2_symmetric(a, b, 1e-3, 1e-2)
+
+
 def test_statistical_calibration_ks():
     scipy_stats = pytest.importorskip("scipy.stats")
     rng = np.random.default_rng(2718)
@@ -464,19 +514,3 @@ def test_estimate_q_published_point():
     assert q.q_from_tau == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         estimate_q(fit, 0.0, gamma_c)
-
-
-def test_reports_render(tmp_path):
-    rng = np.random.default_rng(1)
-    duration = 5.0
-    a = poisson_stream(rng, 2e4, duration, 1)
-    b = poisson_stream(rng, 2e4, duration, 2)
-    est = normalize(correlate(a, b, 5e-6, 500e-6))
-    text = g2_estimate_csv(est, header_lines=["run = unit"])
-    rows = [l for l in text.strip().splitlines() if not l.startswith("#")]
-    assert rows[0] == "tau_s,g2,sigma"
-    assert len(rows) == est.g2.size + 1
-    fit = fit_exponential(est)
-    report = fit_report(fit, None, {"note": 1}, header_lines=["run = unit"])
-    keys = [l.split("=")[0].strip() for l in report.splitlines() if "=" in l and not l.startswith("#")]
-    assert "c0" in keys and "tau_c_s" in keys and "chi2_reduced" in keys

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from microlaser.quantum import (
     PhotonDistribution,
     build_generator,
     default_n_max,
-    g2_csv,
     g2_regression,
     q_and_tau_from_g2,
     steady_state,
@@ -114,6 +115,61 @@ def test_steady_state_auto_doubles_once(scaled_cfg, scaled_dist):
     assert p.n_max == 80
     reference = steady_state(scaled_cfg, scaled_dist)
     assert p.mean == pytest.approx(reference.mean, rel=1e-9)
+
+
+def _reference_steady_state(cfg, dist):
+    """The log-space product of steady_state as it was when it formed the
+    rates from its own beta_bar table: the vector (None where it raised
+    TruncationError) and the top birth and death rates of each tail check."""
+    size = quantum.effective_n_max(cfg)
+    r = injection_rate(cfg)
+    checks = []
+    for attempt in range(2):
+        beta_bar = averaged_beta_table(size, cfg, dist)
+        k = np.arange(1, size + 1, dtype=float)
+        with np.errstate(divide="ignore"):
+            log_ratio = np.log(r * beta_bar) - np.log(cfg.gamma_c * k)
+        log_p = np.concatenate(([0.0], np.cumsum(log_ratio)))
+        log_p -= log_p.max()
+        with np.errstate(divide="ignore"):
+            p = np.exp(log_p)
+        p /= p.sum()
+        checks.append((r * beta_bar[-1], cfg.gamma_c * size))
+        if quantum._truncation_report(p, *checks[-1])[0]:
+            return p, checks
+        if attempt == 0:
+            size *= 2
+    return None, checks
+
+
+def _assert_steady_state_unchanged(cfg, dist):
+    reference, checks = _reference_steady_state(cfg, dist)
+    with mock.patch.object(
+        quantum, "_truncation_report", wraps=quantum._truncation_report
+    ) as report:
+        if reference is None:
+            with pytest.raises(TruncationError):
+                steady_state(cfg, dist)
+        else:
+            assert np.array_equal(steady_state(cfg, dist).probabilities, reference)
+    assert [c.args[1:] for c in report.call_args_list] == checks
+
+
+def test_steady_state_matches_reference_bits(
+    scaled_cfg, scaled_dist, published_cfg, published_dist
+):
+    _assert_steady_state_unchanged(scaled_cfg, scaled_dist)
+    _assert_steady_state_unchanged(published_cfg, published_dist)
+    _assert_steady_state_unchanged(scaled_cfg.with_n_atoms(0.0), scaled_dist)
+    # n_max = 40 is too small for scaled and one doubling rescues it
+    _assert_steady_state_unchanged(replace(scaled_cfg, n_max=40), scaled_dist)
+    _assert_steady_state_unchanged(replace(scaled_cfg, n_max=8), scaled_dist)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(config_seed=st.integers(0, 2**32 - 1))
+def test_steady_state_matches_reference_bits_random_configs(config_seed):
+    _assert_steady_state_unchanged(*random_config(np.random.default_rng(config_seed)))
 
 
 def test_default_n_max_policy(published_cfg):
@@ -306,7 +362,6 @@ def test_g2_with_given_steady_state_is_bit_identical(
         for name in ("tau", "values", "rates", "weights"):
             assert np.array_equal(getattr(shared, name), getattr(default, name)), name
         assert shared.plateau == default.plateau
-        assert shared.config_hash == default.config_hash
     empty = published_cfg.with_n_atoms(0.0)
     with pytest.raises(ValueError):
         g2_regression(empty, published_dist, steady=steady_state(empty, published_dist))
@@ -316,7 +371,7 @@ def test_g2_fit_exact_exponential_input():
     tau = np.linspace(0.0, 10e-6, 200)
     c0, tau_c = 0.002, 1e-6
     curve = G2Curve(
-        tau=tau, values=1.0 + c0 * np.exp(-tau / tau_c), config_hash="x",
+        tau=tau, values=1.0 + c0 * np.exp(-tau / tau_c),
         rates=np.array([-1.0 / tau_c]), weights=np.array([c0]), plateau=0.0,
     )
     res = q_and_tau_from_g2(curve, n_mean=100.0)
@@ -352,12 +407,12 @@ def test_g2_fit_threshold_bunching(published_cfg, published_dist):
 
 def test_g2_summary_rejects_empty_field():
     tau = np.linspace(0.0, 1e-6, 5)
-    curve = G2Curve(tau=tau, values=np.ones(5), config_hash="x",
+    curve = G2Curve(tau=tau, values=np.ones(5),
                     rates=np.array([-1e6]), weights=np.array([0.0]), plateau=0.0)
     with pytest.raises(ValueError):
         q_and_tau_from_g2(curve, 0.0)
     with pytest.raises(ValueError):
-        G2Curve(tau=tau, values=np.ones(5), config_hash="x",
+        G2Curve(tau=tau, values=np.ones(5),
                 rates=np.array([-1e6, -2e6]), weights=np.array([0.0]), plateau=0.0)
 
 
@@ -488,14 +543,6 @@ def test_validity_check_flags_small_fields(published_cfg):
     report = validity_check(tiny, PhotonDistribution(one))
     assert report.rabi_angle_ratio == pytest.approx(0.0, abs=1e-20)
     assert not report.questionable
-
-
-def test_csv_dumps_parse(scaled_cfg, scaled_dist, tmp_path):
-    curve = g2_regression(scaled_cfg, scaled_dist, tau_grid=np.linspace(0, 1e-6, 12))
-    text = g2_csv(curve)
-    rows = [l for l in text.strip().splitlines() if not l.startswith("#")]
-    assert rows[0] == "tau_seconds,g2"
-    assert len(rows) == 13
 
 
 def test_random_configs_null_vector_property():

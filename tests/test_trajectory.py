@@ -405,6 +405,17 @@ def test_initial_condition_validation(scaled_cfg, scaled_dist):
         simulate(scaled_cfg, scaled_dist, duration=1e-3, seed=0, initial_n=1000)
 
 
+@pytest.mark.parametrize("duration", [np.inf, -np.inf, np.nan, 0.0])
+def test_bad_duration_rejected_before_seeding(scaled_cfg, scaled_dist, monkeypatch, duration):
+    # an infinite run never ends: reaching the generator would hang, not fail
+    def no_generator(seed):
+        raise AssertionError("the generator was seeded")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    with pytest.raises(ValueError, match="duration must be positive and finite"):
+        simulate(scaled_cfg, scaled_dist, duration=duration, seed=1)
+
+
 def test_steady_start_unbiased_mean(scaled_cfg, scaled_dist):
     # short runs from the steady-state draw should scatter around <n>
     p_ss = steady_state(scaled_cfg, scaled_dist)
