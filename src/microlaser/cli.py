@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -142,6 +143,12 @@ def _theory(cfg, dist):
     return p, curve, quantum.q_and_tau_from_g2(curve, p.mean)
 
 
+def _basis_entries(cfg, p) -> list[tuple[str, object]]:
+    """The photon basis the theory asked for and the one its steady state
+    used, larger after a tail check doubled it."""
+    return [("n_basis_requested", quantum.effective_n_max(cfg)), ("n_basis_used", p.n_max)]
+
+
 def _parse_n_range(text: str) -> list[float]:
     """'a:b:step' inclusive range, or a single value."""
     parts = text.split(":")
@@ -229,7 +236,7 @@ def cmd_predict_g2(args) -> int:
         ("n_mean", p.mean), ("mandel_q_moments", p.mandel_q), ("c0", summary.c0),
         ("tau_c_s", summary.tau_c), ("q_from_fit", summary.q), ("plateau", summary.plateau),
         ("weight_ratio", summary.weight_ratio), ("config_hash", config_fingerprint(cfg, dist)),
-    ]
+    ] + _basis_entries(cfg, p)
     rows = (f"{t:.17g},{v:.17g}\n" for t, v in zip(curve.tau, curve.values))
     _write_table(args.out, header, "tau_seconds,g2", rows)
     manifest.write(str(args.out) + ".manifest.txt")
@@ -352,7 +359,7 @@ def cmd_pipeline(args) -> int:
         stream2 = read_stream(out2)
         bin_width = args.bin_ns * 1e-9
         window = quantum.DEFAULT_TAU_SPAN_LIFETIMES / cfg.gamma_c
-        if args.window_us:
+        if args.window_us is not None:
             window = args.window_us * 1e-6
         hist = correlator.correlate(stream1, stream2, bin_width, window)
         est = correlator.normalize(hist)
@@ -377,7 +384,7 @@ def cmd_pipeline(args) -> int:
         ("z_c0", z_c0), ("sign_match_c0", fit.c0 * theory.c0 > 0.0),
         ("detections_ch1", rec.stream1.count), ("detections_ch2", rec.stream2.count),
         ("duration_s", args.duration_s),
-    ]
+    ] + _basis_entries(cfg, p)
     _write_report(report_path, manifest.entries(), _fit_entries(fit, q_est) + extra)
     _write_estimate(g2_csv_path, manifest.entries(), est)
     manifest.write(out_dir / "manifest.txt")
@@ -478,11 +485,17 @@ def main(argv=None) -> int:
         # argparse uses 2 for usage errors, which matches our config-error code
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        # counts that no config makes valid are refused before any input is read
+        # values that no config makes valid are refused before any input is read
         if args.quadrature_nodes < 1:
             raise ConfigError(f"--quadrature-nodes must be >= 1, got {args.quadrature_nodes}")
         if getattr(args, "exclude_bins", 0) < 0:
             raise ConfigError(f"--exclude-bins must be >= 0, got {args.exclude_bins}")
+        for flag in ("bin_ns", "window_us"):
+            value = getattr(args, flag, None)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ConfigError(
+                    f"--{flag.replace('_', '-')} must be positive and finite, got {value}"
+                )
         return args.func(args)
     except ConfigError as exc:
         print(f"microlaser {args.command}: configuration error: {exc}", file=sys.stderr)

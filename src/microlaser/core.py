@@ -235,22 +235,27 @@ def averaged_beta(k, cfg: MicrolaserConfig, dist: VelocityDistribution):
     """Velocity-averaged emission probability sum_j w_j beta_k(v_j).
 
     ``k`` may be scalar or an array; a delta distribution reduces to the
-    pointwise kernel at v0. For an array ``k`` the sines are taken and
-    squared in place in the one k-by-node buffer of the phases, which gives
-    the same bits as ``np.sin(phases) ** 2 @ weights`` without its two
-    temporaries of that size. A scalar ``k`` keeps that expression: on a
-    few nodes its small temporaries cost less than the in-place calls.
+    pointwise kernel at v0. The terms w_j sin^2(sqrt(k) theta_j) fill one
+    node-by-k buffer in place and are summed over the nodes by pairwise
+    halving: while m terms are left, term i takes term i + m - m // 2 for
+    i < m // 2. That order is fixed, so each k gets the same bits alone, in
+    any table and at any table size; a matrix-vector product rounds its
+    rows by their position in the table.
     """
     k_arr = np.asarray(k, dtype=float)
     if np.any(k_arr < 0.0):
         raise ValueError(f"k must be >= 0, got {k}")
     theta = cfg.g0 * interaction_time(dist.velocities, cfg.mode_waist)
-    phases = np.sqrt(k_arr)[..., None] * theta
-    if k_arr.ndim == 0:
-        return float(np.sin(phases) ** 2 @ dist.weights)
-    np.sin(phases, phases)
-    np.square(phases, phases)
-    return phases @ dist.weights
+    terms = np.multiply.outer(theta, np.sqrt(k_arr))
+    np.sin(terms, terms)
+    np.square(terms, terms)
+    terms *= dist.weights.reshape(-1, *(1,) * k_arr.ndim)
+    m = terms.shape[0]
+    while m > 1:
+        half = m // 2
+        terms[:half] += terms[m - half:m]
+        m -= half
+    return float(terms[0]) if k_arr.ndim == 0 else terms[0]
 
 
 def averaged_beta_table(n_max: int, cfg: MicrolaserConfig, dist: VelocityDistribution) -> np.ndarray:

@@ -149,8 +149,10 @@ def correlate(
     CPU; the partial histograms are summed into the result, which is
     bit-identical to processing event by event.
     """
-    if bin_width <= 0.0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
+    if not (0.0 < bin_width < math.inf):
+        raise ValueError(f"bin_width must be positive and finite, got {bin_width}")
+    if not math.isfinite(window):
+        raise ValueError(f"window must be finite, got {window}")
     if window < bin_width:
         raise ValueError(f"window ({window}) must be >= bin_width ({bin_width})")
     if chunk_size < 1:

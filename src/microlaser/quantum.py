@@ -101,9 +101,15 @@ class PhotonDistribution:
 
 
 def default_n_max(cfg: MicrolaserConfig) -> int:
-    """Truncation policy: 4 * (r / Gamma_c), clamped to [32, 8192]."""
+    """Truncation policy: 1.1 * (r / Gamma_c) + 10, clamped to [32, 8192].
+
+    The gain r * beta_bar never exceeds r, so past n = r / Gamma_c each step
+    up multiplies P_n by r beta_bar / (Gamma_c n) < 1: the steady state lives
+    below r / Gamma_c and its tail falls off beyond. ``steady_state`` checks
+    that tail and doubles the basis once where this margin is too small.
+    """
     r = injection_rate(cfg)
-    return int(min(N_MAX_CAP, max(N_MAX_FLOOR, math.ceil(4.0 * r / cfg.gamma_c))))
+    return int(min(N_MAX_CAP, max(N_MAX_FLOOR, math.ceil(1.1 * r / cfg.gamma_c + 10.0))))
 
 
 def effective_n_max(cfg: MicrolaserConfig) -> int:

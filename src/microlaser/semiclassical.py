@@ -118,18 +118,6 @@ def _scan_max(cfg: MicrolaserConfig, n_scan_max: float | None) -> float:
     return n_scan_max
 
 
-def _beta_each(k: np.ndarray, theta: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """beta-bar at each k with the bits of the scalar ``averaged_beta(k)``.
-
-    A stacked matmul takes one dot product per row, as the scalar call does;
-    a plain matrix-vector product rounds some rows differently.
-    """
-    phases = np.sqrt(k)[:, None] * theta
-    np.sin(phases, phases)
-    np.square(phases, phases)
-    return (phases[:, None, :] @ weights)[:, 0]
-
-
 def _roots(
     cfgs: list[MicrolaserConfig],
     dist: VelocityDistribution,
@@ -171,7 +159,6 @@ def _roots(
     brackets = np.concatenate(left_ends)
     a, b, fa = grid[brackets], grid[brackets + 1], np.concatenate(f_left)
     rate = np.concatenate(rates)
-    theta = cfg0.g0 * interaction_time(dist.velocities, cfg0.mode_waist)
     active = np.arange(a.size)
     while True:
         width = b[active] - a[active]
@@ -179,7 +166,7 @@ def _roots(
         if active.size == 0:
             break
         mid = 0.5 * (a[active] + b[active])
-        fm = rate[active] * _beta_each(mid + 1.0, theta, dist.weights) - cfg0.gamma_c * mid
+        fm = rate[active] * averaged_beta(mid + 1.0, cfg0, dist) - cfg0.gamma_c * mid
         zero = fm == 0.0
         left = ~zero & ((fa[active] < 0) == (fm < 0))
         right = ~zero & ~left

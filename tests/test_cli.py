@@ -126,16 +126,17 @@ def test_predict_g2_delta_equals_one_node_gaussian(tmp_path):
 
 
 # sha256 of the predict-g2 data rows and of its n_mean, mandel_q_moments, c0
-# and tau_c_s header lines, recorded before the steady state was shared and
-# the beta-bar kernel went in place.
+# and tau_c_s header lines. The scaled record predates the shared steady
+# state and the in-place beta-bar kernel; the published one was recorded on
+# the 1.1 r / Gamma_c + 10 basis with the fixed-order beta-bar sum.
 PREDICT_G2_GOLDEN = {
     "scaled": (
         "0c57dd891861457a33cf3fa1cf8c6c6a04c556ab726be2e702b4c59899b7240b",
         "4769ce38e4ac0c477be53a615ac46d8fb2e4dae5a856ad352fbae19e56e06f32",
     ),
     "published": (
-        "7dba0830b6eee5f97de630adb8583677181288ae6d3955ae625cef56e7a8159a",
-        "e2b3179ea996e39779494e9da5517feab6783ba3ca33a3dcb51204c64e9caf5a",
+        "7861661c4102b6045dedcf402f319c1d5c433e64afd346af5f0cee3fb3e609ef",
+        "d965778e26a8bd08e97685a5fa54be1c6ecbeb66b05b094df71a5baee2cae6fa",
     ),
 }
 GOLDEN_KEYS = ("n_mean", "mandel_q_moments", "c0", "tau_c_s")
@@ -154,6 +155,20 @@ def test_predict_g2_golden(tmp_path, stem):
     summary = [l for l in header_lines(out) if l[2:].split(" = ")[0] in GOLDEN_KEYS]
     assert len(rows) == 201 and len(summary) == len(GOLDEN_KEYS)
     assert (_sha256_lines(rows[1:]), _sha256_lines(summary)) == PREDICT_G2_GOLDEN[stem]
+
+
+def test_predict_g2_records_the_basis(tmp_path):
+    def basis(cfg_path):
+        out = tmp_path / "g2.csv"
+        assert main(["predict-g2", "--config", str(cfg_path), "--out", str(out)]) == 0
+        values = dict(l[2:].split(" = ", 1) for l in header_lines(out))
+        return int(values["n_basis_requested"]), int(values["n_basis_used"])
+
+    assert basis(CONFIGS / "published.cfg") == (1914, 1914)
+    # the tail check doubles a basis that is too small
+    doubled = tmp_path / "doubled.cfg"
+    doubled.write_text(SCALED_CFG.replace("n_max = 256", "n_max = 40"))
+    assert basis(doubled) == (40, 80)
 
 
 def test_predict_g2_solves_one_steady_state(tmp_path, monkeypatch):
@@ -374,6 +389,7 @@ def test_pipeline_end_to_end(tmp_path, scaled_cfg_file, capsys):
     assert np.isfinite(float(entries["z_tau_c"]))
     assert np.isfinite(float(entries["z_c0"]))
     assert entries["sign_match_c0"] == "True"
+    assert (entries["n_basis_requested"], entries["n_basis_used"]) == ("256", "256")
     for name in ("ch1.mlts1", "ch2.mlts1", "g2.csv", "manifest.txt"):
         assert (out_dir / name).exists()
     assert "pipeline:" in capsys.readouterr().out
@@ -461,6 +477,12 @@ def test_exit_code_config_error(tmp_path):
     assert main(["correlate-fit", str(tmp_path / "no1"), str(tmp_path / "no2"),
                  "--window-us", "1", "--quadrature-nodes", "0",
                  "--out", str(tmp_path / "x")]) == 2
+    for flag in ("--bin-ns", "--window-us"):
+        for bad in ("nan", "inf", "-inf", "0", "-1"):
+            assert main(["correlate-fit", str(tmp_path / "no1"), str(tmp_path / "no2"),
+                         "--window-us", "1", flag, bad, "--out", str(tmp_path / "x")]) == 2
+            assert main(["pipeline", "--config", str(missing), "--duration-s", "0.001",
+                         flag, bad, "--out-dir", str(tmp_path / "x")]) == 2
     assert not (tmp_path / "x").exists()
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microlaser.core import (
     FWHM_PER_SIGMA,
@@ -18,6 +20,7 @@ from microlaser.core import (
 )
 from microlaser.errors import ConfigError
 from microlaser.quantum import effective_n_max
+from conftest import random_config
 
 # Independent high-precision evaluation (mpmath, 40 digits) of the closed
 # form sin^2(g0 * sqrt(pi) * w / v) at the published operating point.
@@ -121,8 +124,31 @@ def test_averaged_beta_large_k_approaches_half_with_mc_oracle(published_cfg, pub
     assert abs(avg - mc) < 5.0 * mc_sigma + 1e-4
 
 
+# The basis size of the published config under the earlier 4 r / Gamma_c
+# policy: the beta-bar checks keep this reach under the smaller default.
+PUBLISHED_WIDE_N_MAX = 6921
+
+
 def reference_averaged_beta(k, cfg, dist):
-    """The kernel as it was written before it reused its buffer."""
+    """The kernel summed in plain Python floats: numpy's sines, then the
+    terms of each k halved pairwise in a fixed order (while m are left, term
+    i takes term i + m - m // 2)."""
+    theta = cfg.g0 * interaction_time(dist.velocities, cfg.mode_waist)
+    k_arr = np.asarray(k, dtype=float)
+    sines = np.sin(np.sqrt(k_arr)[..., None] * theta).reshape(-1, theta.size)
+    out = []
+    for row in sines.tolist():
+        terms = [s * s * w for s, w in zip(row, dist.weights.tolist())]
+        while len(terms) > 1:
+            half = len(terms) // 2
+            rest = len(terms) - half
+            terms = [terms[i] + terms[rest + i] for i in range(half)] + terms[half:rest]
+        out.append(terms[0])
+    return np.array(out).reshape(k_arr.shape)
+
+
+def matmul_averaged_beta(k, cfg, dist):
+    """The kernel as a matrix-vector product, whose rows round by position."""
     theta = cfg.g0 * interaction_time(dist.velocities, cfg.mode_waist)
     return np.sin(np.sqrt(np.asarray(k, dtype=float))[..., None] * theta) ** 2 @ dist.weights
 
@@ -137,23 +163,48 @@ def test_averaged_beta_matches_reference_bits(published_cfg, published_dist, sca
             assert np.shape(got) == np.shape(want)
             assert np.array_equal(got, want)
         assert type(averaged_beta(3.7, cfg, dist)) is float
-    n_max = effective_n_max(published_cfg)
+    n_max = PUBLISHED_WIDE_N_MAX
     table = averaged_beta_table(n_max, published_cfg, published_dist)
     assert table.shape == (n_max,)
-    assert np.array_equal(
-        table, reference_averaged_beta(np.arange(1.0, n_max + 1), published_cfg, published_dist)
-    )
+    k = np.arange(1.0, n_max + 1)
+    assert np.array_equal(table, reference_averaged_beta(k, published_cfg, published_dist))
+    # the fixed order moves no entry more than 2 ulp from the matrix product
+    old = matmul_averaged_beta(k, published_cfg, published_dist)
+    assert np.all(np.abs(table - old) <= 2.0 * np.spacing(old))
+    # prefixes at the default basis and at twice the wide one
+    default = effective_n_max(published_cfg)
+    assert default < n_max
+    assert np.array_equal(averaged_beta_table(default, published_cfg, published_dist),
+                          table[:default])
     assert np.array_equal(
         averaged_beta_table(2 * n_max, published_cfg, published_dist)[:n_max], table
     )
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    config_seed=st.integers(0, 2**32 - 1),
+    nodes=st.integers(1, 130),
+    n=st.integers(2, 600),
+    data=st.data(),
+)
+def test_averaged_beta_table_prefix_is_bit_exact(config_seed, nodes, n, data):
+    # each entry is summed in a fixed order, so a smaller table is the prefix
+    # of a larger one for any node count, odd ones included
+    cfg, _ = random_config(np.random.default_rng(config_seed))
+    dist = VelocityDistribution.gaussian(cfg.v0, max(cfg.dv_fwhm_frac, 0.05) * cfg.v0, nodes)
+    m = data.draw(st.integers(1, n - 1), label="m")
+    assert np.array_equal(
+        averaged_beta_table(n, cfg, dist)[:m], averaged_beta_table(m, cfg, dist)
+    )
+
+
 def test_quadrature_doubling_stability(published_cfg):
     # Doubling the node count moves beta-bar by less than 1e-9 for every
-    # k up to the default basis size.
+    # k up to the basis of the earlier, wider policy.
     d64 = VelocityDistribution.from_config(published_cfg, n_nodes=64)
     d128 = VelocityDistribution.from_config(published_cfg, n_nodes=128)
-    n_max = effective_n_max(published_cfg)
+    n_max = PUBLISHED_WIDE_N_MAX
     b64 = averaged_beta_table(n_max, published_cfg, d64)
     b128 = averaged_beta_table(n_max, published_cfg, d128)
     assert np.max(np.abs(b64 - b128)) < 1e-9

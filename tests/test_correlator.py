@@ -217,6 +217,13 @@ def test_correlate_validation():
         correlate(a, b, 1e-6, 1e-9)
     with pytest.raises(ValueError, match="chunk_size"):
         correlate(a, b, 1e-9, 1e-6, chunk_size=0)
+    # non-finite sizes are named, not left to fail in the bin count
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="bin_width"):
+            correlate(a, b, bad, 1e-6)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="window"):
+            correlate(a, b, 1e-9, bad)
     # a zero duration is rejected before any start is correlated
     a = TimestampStream(np.array([0.0, 0.0]), 1, 0.0)
     b = TimestampStream(np.array([0.0]), 2, 0.0)

@@ -172,12 +172,83 @@ def test_steady_state_matches_reference_bits_random_configs(config_seed):
     _assert_steady_state_unchanged(*random_config(np.random.default_rng(config_seed)))
 
 
-def test_default_n_max_policy(published_cfg):
+def test_default_n_max_policy(published_cfg, published_dist):
     n = default_n_max(published_cfg)
     r = injection_rate(published_cfg)
-    assert n == min(8192, max(32, math.ceil(4.0 * r / published_cfg.gamma_c)))
+    assert n == min(8192, max(32, math.ceil(1.1 * r / published_cfg.gamma_c + 10.0))) == 1914
+    assert steady_state(published_cfg, published_dist).n_max == n
     assert default_n_max(published_cfg.with_n_atoms(0.0)) == 32
     assert default_n_max(published_cfg.with_n_atoms(1e6)) == 8192
+    # at <N> = 20 the tail at 1.1 r / Gamma_c + 10 is too heavy: one doubling
+    near_threshold = published_cfg.with_n_atoms(20.0)
+    assert default_n_max(near_threshold) == 251
+    assert steady_state(near_threshold, published_dist).n_max == 502
+
+
+def _old_n_max(cfg):
+    """The basis of the earlier policy, 4 r / Gamma_c clamped to [32, 8192]."""
+    r = injection_rate(cfg)
+    return min(quantum.N_MAX_CAP, max(quantum.N_MAX_FLOOR, math.ceil(4.0 * r / cfg.gamma_c)))
+
+
+def _solve(cfg, dist, n_max=None):
+    """(steady state, g2 summary); the summary is None for an empty field and
+    a TruncationError where the g2 solve refuses its window."""
+    p = steady_state(cfg, dist, n_max=n_max)
+    if p.mean <= 0.0:
+        return p, None
+    try:
+        return p, q_and_tau_from_g2(g2_regression(cfg, dist, steady=p), p.mean)
+    except TruncationError as exc:
+        return p, exc
+
+
+def _assert_matches_old_basis(cfg, dist):
+    try:
+        old_p, old_g2 = _solve(cfg, dist, _old_n_max(cfg))
+    except TruncationError:
+        return
+    new_p, new_g2 = _solve(cfg, dist)  # raises nowhere the old basis solves
+    if old_p.mean <= 0.0:
+        assert new_p.mean == 0.0
+        return
+    # The new basis drops the old one's mass above its top, which the tail
+    # check keeps below BEYOND_TRUNCATION_LIMIT; with the leverage of n^2
+    # that bounds what it moves in the moments.
+    dropped = float(old_p.probabilities[new_p.n_max + 1:].sum())
+    assert dropped < quantum.BEYOND_TRUNCATION_LIMIT
+    tol = 1e-12 + dropped * (old_p.n_max / old_p.mean) ** 2
+    assert new_p.mean == pytest.approx(old_p.mean, rel=tol, abs=0.0)
+    # Q = <n^2> / <n> - <n> - 1 carries the rounding of <n^2> / <n>
+    second = old_p.mean * (old_p.mandel_q + 1.0) + old_p.mean**2
+    assert abs(new_p.mandel_q - old_p.mandel_q) <= tol * second / old_p.mean
+    if isinstance(old_g2, TruncationError):
+        return
+    assert not isinstance(new_g2, TruncationError), new_g2
+    probs = new_p.probabilities
+    if probs[-1] <= quantum.SPECTRAL_FLOOR * probs.max():
+        # the kept g2 window ends inside the new basis
+        assert new_g2.c0 == pytest.approx(old_g2.c0, rel=1e-10, abs=0.0)
+        tau_tol = 1e-10
+    else:
+        # the new basis top cuts the kept window, a cut that the outflux bound
+        # of g2_regression does not count: allow each solve that budget
+        assert abs(new_g2.c0 - old_g2.c0) <= 1e-10 * abs(old_g2.c0) + 2 * quantum.OUTFLUX_LIMIT
+        tau_tol = 1e-10 + 2 * quantum.OUTFLUX_LIMIT / abs(old_g2.c0 - old_g2.plateau)
+    assert (new_g2.tau_c is None) == (old_g2.tau_c is None)
+    if old_g2.tau_c is not None:
+        assert new_g2.tau_c == pytest.approx(old_g2.tau_c, rel=tau_tol, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(config_seed=st.integers(0, 2**32 - 1))
+def test_default_basis_matches_old_basis_random_configs(config_seed):
+    _assert_matches_old_basis(*random_config(np.random.default_rng(config_seed)))
+
+
+@pytest.mark.parametrize("n_atoms", np.arange(5.0, 301.0, 5.0).tolist())
+def test_default_basis_matches_old_basis_published_sweep(n_atoms, published_cfg, published_dist):
+    _assert_matches_old_basis(published_cfg.with_n_atoms(n_atoms), published_dist)
 
 
 def test_distribution_invariants_enforced():

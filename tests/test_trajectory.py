@@ -198,7 +198,9 @@ def _golden_run(name):
 
 # sha256 of (dtype, bytes) of path_times, path_values and both streams' times,
 # then (initial_n, final_n, atoms_injected, emissions, decays, detections),
-# recorded from the per-event loop this simulator replaced.
+# recorded from the per-event loop this simulator replaced. The published
+# record's times were recorded again on the 1.1 r / Gamma_c + 10 basis with the
+# fixed-order beta-bar sum; its path values and counts are the loop's.
 GOLDEN = {
     "scaled-seed1": (
         "58b015835bdb4638ad582f8be4263a98098d5480ee7231b7b4598132a5a0fdea",
@@ -229,10 +231,10 @@ GOLDEN = {
         (250, 34, 86899, 56459, 56675, 56675),
     ),
     "published": (
-        "0b24572be735f55de96aaaf6b6496b72c725e096474fafe8a00f77ce09104674",
+        "fc0705ab6c452f2e4fec62623f6437315c4599a9b52d8be95d82586d1b4a7171",
         "ec4540d54aa542f1469f8e6aba3eb078a7bd2f871a735a6cf65ef9898b9507db",
-        "c0e1ff150f3c2e6f50aa84b763689eadceac542a09dfbe916ee06973b8d0138d",
-        "6957a3e88d3e354fee421dbd422ce3ba6d3375a906aef3d7c74cf53a5d9adb0b",
+        "a925a4e9b3e45e515fed38ba7cfc1c8e92f8704e0f1057d6622600f0f49c98c7",
+        "4bfe12a5e816b2a8e102eecafdf2d36a90d2e8fc24306f92d831700a6af4b4a3",
         (569, 556, 86692, 27471, 27484, 27484),
     ),
     "efficiency-0.7": (
