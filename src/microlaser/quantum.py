@@ -139,7 +139,10 @@ def steady_state(
     The rates come from ``build_generator``; the product is accumulated in log
     space to dodge overflow, then normalized. If the tail check fails at the
     requested truncation, the basis is doubled once before giving up with a
-    TruncationError.
+    TruncationError. A top state inside the g2 window (P_n > SPECTRAL_FLOOR *
+    max P) also takes the doubling, which shrinks the flux past the top that
+    ``g2_regression`` has to allow for; the larger basis is kept whatever its
+    top.
     """
     size = n_max if n_max is not None else effective_n_max(cfg)
     for attempt in range(2):
@@ -152,7 +155,7 @@ def steady_state(
             p = np.exp(log_p)
         p /= p.sum()
         adequate, tail_mass, beyond = _truncation_report(p, gen.birth[-2], gen.death[-1])
-        if adequate:
+        if adequate and (attempt == 1 or p[-1] <= SPECTRAL_FLOOR * p.max()):
             return PhotonDistribution(p)
         if attempt == 0:
             size *= 2
@@ -275,9 +278,10 @@ def g2_regression(
 
     The cut is checked on the full basis: the block solution at tau = 0 and
     at the largest tau is padded with zeros and sent through the full
-    generator; the flux it puts outside the kept states, plus the part of
-    W(0) left outside, bounds the error of the curve. A TruncationError is
-    raised when that bound exceeds OUTFLUX_LIMIT.
+    generator; the flux it puts outside the kept states, plus the flux past
+    the reflecting top of the basis and the part of W(0) left outside,
+    bounds the error of the curve. A TruncationError is raised when that
+    bound exceeds OUTFLUX_LIMIT.
 
     ``steady`` must be ``steady_state(cfg, dist)`` for the same ``cfg`` and
     ``dist``; a caller that already holds it passes it to skip a second
@@ -343,13 +347,20 @@ def g2_regression(
         float(np.abs(gen.matvec(np.where(kept, w0, 0.0))[outside]).sum()),
         float(np.abs(gen.matvec(w_end)[outside]).sum()),
     )
+    # The full chain sends r beta_bar_{n_max+1} W_{n_max} past the top, which
+    # the reflecting truncation hides. Under detailed balance W / P evolves by
+    # a stochastic semigroup, so it never exceeds its largest start value
+    # (n+1) P_{n+1} / P_n = r beta_bar_{n+1} / Gamma_c <= r / Gamma_c: with
+    # beta_bar <= 1 that flux is at most (r^2 / Gamma_c) P_{n_max}.
+    r = injection_rate(cfg)
+    leak += r * r / cfg.gamma_c * float(probs[-1])
     lost = float(w0[outside].sum()) + tau_max * leak
     bound = p.n_max * lost / (n_mean * n_mean)
     if not bound <= OUTFLUX_LIMIT:
         raise TruncationError(
             f"g2 spectral window too narrow: states outside the kept blocks "
-            f"(P_n <= {SPECTRAL_FLOOR:.0e} max P) would change g2 by up to "
-            f"{bound:.3e} (limit {OUTFLUX_LIMIT:.0e})"
+            f"(P_n <= {SPECTRAL_FLOOR:.0e} max P) and past the basis top would "
+            f"change g2 by up to {bound:.3e} (limit {OUTFLUX_LIMIT:.0e})"
         )
     norm = n_mean * n_mean
     return G2Curve(
