@@ -10,11 +10,9 @@ from .core import (
     MicrolaserConfig,
     VelocityDistribution,
     averaged_beta,
-    beta,
     injection_rate,
     interaction_time,
     load_config,
-    save_config,
 )
 from .correlator import (
     CorrelationHistogram,
@@ -44,14 +42,11 @@ from .quantum import (
     g2_regression,
     q_and_tau_from_g2,
     steady_state,
-    validity_check,
 )
 from .semiclassical import (
     FixedPoint,
     SweepResult,
     find_fixed_points,
-    gain,
-    loss,
     sweep,
 )
 from .streams import (

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -118,24 +118,6 @@ def injection_rate(cfg: MicrolaserConfig) -> float:
     return cfg.n_atoms_mean / interaction_time(cfg.v0, cfg.mode_waist)
 
 
-def beta(k, v: float, cfg: MicrolaserConfig):
-    """Single-atom emission probability sin^2(sqrt(k) g0 t_int(v)).
-
-    ``k`` is the upper photon number of the k-1 -> k transition; ``beta(0)``
-    is 0 by convention (nothing to absorb below vacuum). ``k`` may be a
-    non-integer (the rate-equation analysis evaluates it on a continuum) and
-    may be an array.
-    """
-    k_arr = np.asarray(k, dtype=float)
-    if np.any(k_arr < 0.0):
-        raise ValueError(f"k must be >= 0, got {k}")
-    t = interaction_time(v, cfg.mode_waist)
-    val = np.sin(np.sqrt(k_arr) * (cfg.g0 * t)) ** 2
-    if np.ndim(val) == 0:
-        return float(val)
-    return val
-
-
 @dataclass(frozen=True)
 class VelocityDistribution:
     """Atomic speed distribution reduced to a fixed quadrature rule.
@@ -151,7 +133,6 @@ class VelocityDistribution:
     fwhm: float
     velocities: np.ndarray
     weights: np.ndarray
-    support: tuple[float, float] = field(default=(0.0, 0.0))
 
     def __post_init__(self):
         v = np.asarray(self.velocities, dtype=float)
@@ -179,7 +160,6 @@ class VelocityDistribution:
             fwhm=0.0,
             velocities=np.array([v0]),
             weights=np.array([1.0]),
-            support=(v0, v0),
         )
 
     @classmethod
@@ -211,10 +191,7 @@ class VelocityDistribution:
         v = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
         w = wq * np.exp(-0.5 * ((v - v0) / sigma) ** 2)
         w = w / w.sum()
-        return cls(
-            kind="gaussian", v0=v0, fwhm=fwhm, velocities=v, weights=w,
-            support=(lo, hi),
-        )
+        return cls(kind="gaussian", v0=v0, fwhm=fwhm, velocities=v, weights=w)
 
     @classmethod
     def from_config(
@@ -225,10 +202,6 @@ class VelocityDistribution:
         if cfg.dv_fwhm_frac == 0.0:
             return cls.delta(cfg.v0)
         return cls.gaussian(cfg.v0, cfg.dv_fwhm_frac * cfg.v0, n_nodes)
-
-    @property
-    def sigma(self) -> float:
-        return self.fwhm / FWHM_PER_SIGMA
 
 
 def averaged_beta(k, cfg: MicrolaserConfig, dist: VelocityDistribution):
@@ -326,9 +299,3 @@ def load_config(path) -> MicrolaserConfig:
     if missing:
         raise ConfigError(f"{path}: missing required keys: {', '.join(sorted(missing))}")
     return MicrolaserConfig(**values)
-
-
-def save_config(cfg: MicrolaserConfig, path) -> None:
-    """Write a configuration file that load_config reads back identically."""
-    lines = [f"{key} = {value!r}" for key, value in cfg.to_dict().items() if value is not None]
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -29,7 +29,6 @@ from .core import (
     VelocityDistribution,
     averaged_beta_table,
     injection_rate,
-    interaction_time,
 )
 from .errors import TruncationError
 
@@ -412,38 +411,3 @@ def q_and_tau_from_g2(curve: G2Curve, n_mean: float) -> G2Summary:
     return G2Summary(
         c0=c0, tau_c=tau_c, q=c0 * n_mean, plateau=curve.plateau, weight_ratio=ratio,
     )
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    """Single-atom extrapolation diagnostics.
-
-    ``rabi_angle_ratio`` is g0 t_int / sqrt(<n>); the number-basis theory is
-    trustworthy while this is small. ``phase_perturbation`` is the Rabi-angle
-    change from a one-photon fluctuation, g0 t_int / sqrt(<n>+1).
-    """
-
-    rabi_angle_ratio: float
-    phase_perturbation: float
-    threshold: float
-    questionable: bool
-
-
-def validity_check(
-    cfg: MicrolaserConfig,
-    p: PhotonDistribution,
-    threshold: float = 0.3,
-) -> ValidityReport:
-    n_mean = p.mean
-    if n_mean <= 0.0:
-        raise ValueError("validity check requires a nonempty field (<n> > 0)")
-    g_t = cfg.g0 * interaction_time(cfg.v0, cfg.mode_waist)
-    ratio = g_t / math.sqrt(n_mean)
-    phase = g_t / math.sqrt(n_mean + 1.0)
-    return ValidityReport(
-        rabi_angle_ratio=ratio,
-        phase_perturbation=phase,
-        threshold=threshold,
-        questionable=ratio > threshold,
-    )
-

@@ -62,23 +62,6 @@ class SweepResult:
     points: tuple[SweepPoint, ...]
 
 
-def gain(n, cfg: MicrolaserConfig, dist: VelocityDistribution):
-    """Photon emission rate G(n) = r * beta_bar(n+1), velocity averaged."""
-    n_arr = np.asarray(n, dtype=float)
-    if np.any(n_arr < 0.0):
-        raise ValueError(f"n must be >= 0, got {n}")
-    return injection_rate(cfg) * averaged_beta(n_arr + 1.0, cfg, dist)
-
-
-def loss(n, cfg: MicrolaserConfig):
-    """Cavity loss rate L(n) = Gamma_c * n."""
-    n_arr = np.asarray(n, dtype=float)
-    if np.any(n_arr < 0.0):
-        raise ValueError(f"n must be >= 0, got {n}")
-    val = cfg.gamma_c * n_arr
-    return float(val) if n_arr.ndim == 0 else val
-
-
 def gain_derivative(n: float, cfg: MicrolaserConfig, dist: VelocityDistribution) -> float:
     """dG/dn at n, from the derivative of the sin^2 kernel."""
     r = injection_rate(cfg)

@@ -3,11 +3,14 @@
 The binary format is bit-exact so simulated runs can be archived and
 re-analyzed: an ASCII header line ``MLTS1 <channel> <duration_ps> <count>``
 followed by ``count`` little-endian uint64 timestamps in integer picoseconds,
-nondecreasing. A one-column CSV export (``timestamp_ps``) is also supported.
+nondecreasing. A one-column CSV of integer picoseconds (``timestamp_ps``,
+with optional ``# channel = ...`` and ``# duration_ps = ...`` lines) is also
+read as input.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +54,6 @@ class TimestampStream:
     def count(self) -> int:
         return self.times.size
 
-    @property
-    def rate(self) -> float:
-        return self.count / self.duration if self.duration > 0.0 else 0.0
-
 
 def write_mlts1(stream: TimestampStream, path) -> None:
     """Write the bit-exact binary timestamp format."""
@@ -80,6 +79,13 @@ def read_mlts1(path) -> TimestampStream:
         channel = int(fields[1])
         duration_ps = int(fields[2])
         count = int(fields[3])
+        # a header that promises more events than the file holds is refused
+        # before the payload is allocated
+        payload = os.fstat(fh.fileno()).st_size - len(header)
+        if 8 * count > payload:
+            raise ValueError(
+                f"{path}: truncated payload ({payload} bytes for {count} events)"
+            )
         times = np.empty(count)
         block = np.empty(min(count, READ_BLOCK), dtype="<u8")
         for lo in range(0, count, READ_BLOCK):
@@ -95,16 +101,6 @@ def read_mlts1(path) -> TimestampStream:
         channel=channel,
         duration=duration_ps / PS_PER_SECOND,
     )
-
-
-def write_timestamps_csv(stream: TimestampStream, path) -> None:
-    ps = np.round(stream.times * PS_PER_SECOND).astype(np.uint64)
-    with open(path, "w") as fh:
-        fh.write(f"# channel = {stream.channel}\n")
-        fh.write(f"# duration_ps = {int(round(stream.duration * PS_PER_SECOND))}\n")
-        fh.write("timestamp_ps\n")
-        for value in ps:
-            fh.write(f"{value}\n")
 
 
 def read_timestamps_csv(path) -> TimestampStream:
@@ -137,7 +133,7 @@ def read_timestamps_csv(path) -> TimestampStream:
 
 
 def read_stream(path) -> TimestampStream:
-    """Dispatch on content: MLTS1 binary, else the CSV export."""
+    """Dispatch on content: MLTS1 binary, else the timestamp CSV."""
     with open(path, "rb") as fh:
         head = fh.read(6)
     if head.startswith(MAGIC + b" "):

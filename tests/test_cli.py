@@ -419,6 +419,34 @@ def test_pipeline_and_correlate_fit_agree_on_the_same_files(tmp_path, scaled_cfg
     assert fit_lines(report) == fit_lines(out_dir / "report.txt")
 
 
+def test_correlate_fit_reads_timestamp_csv_like_mlts1(tmp_path):
+    # the same events as one-column CSVs of integer picoseconds, written here
+    # with numpy, give the same report entries and g2 rows as the MLTS1 files
+    out_dir = tmp_path / "pipe"
+    assert main(["pipeline", "--config", str(CONFIGS / "scaled.cfg"), "--duration-s", "0.002",
+                 "--out-dir", str(out_dir)]) == 0
+    for name in ("ch1", "ch2"):
+        header, payload = (out_dir / f"{name}.mlts1").read_bytes().split(b"\n", 1)
+        _, channel, duration_ps, count = header.decode().split()
+        ps = np.frombuffer(payload, dtype="<u8")
+        assert ps.size == int(count) > 0
+        with open(tmp_path / f"{name}.csv", "w") as fh:
+            fh.write(f"# channel = {channel}\n# duration_ps = {duration_ps}\ntimestamp_ps\n")
+            np.savetxt(fh, ps, fmt="%d")
+
+    def run(ext):
+        report, g2_csv = tmp_path / f"fit.{ext}.txt", tmp_path / f"g2.{ext}.csv"
+        src = out_dir if ext == "mlts1" else tmp_path
+        assert main(["correlate-fit", str(src / f"ch1.{ext}"), str(src / f"ch2.{ext}"),
+                     "--window-us", "5.3", "--config", str(CONFIGS / "scaled.cfg"),
+                     "--out", str(report), "--g2-csv", str(g2_csv)]) == 0
+        return body_lines(report), body_lines(g2_csv)
+
+    report_lines, g2_rows = run("csv")
+    assert (report_lines, g2_rows) == run("mlts1")
+    assert len(g2_rows) > 200 and any(l.startswith("rate1_hz = ") for l in report_lines)
+
+
 def test_pipeline_names_the_side_without_tau_c(tmp_path, capsys):
     # At the Q = 0 crossing the theory g2 weights cancel, so the theory has no
     # tau_c while the measured fit still has one.
@@ -517,6 +545,16 @@ def test_writers_render_each_value_type(tmp_path):
     table = tmp_path / "table.csv"
     cli._write_table(table, values, "a,b", iter(["1,2\n", "3,4\n5,6\n"]))
     assert table.read_text() == header + "a,b\n1,2\n3,4\n5,6\n"
+
+
+def test_exit_code_corrupt_mlts1_header(tmp_path):
+    # a header promising 1e11 events over an empty payload is refused before
+    # anything is allocated for it
+    bad = tmp_path / "bad.mlts1"
+    bad.write_bytes(b"MLTS1 1 1000 100000000000\n")
+    assert main(["correlate-fit", str(bad), str(bad), "--window-us", "1",
+                 "--out", str(tmp_path / "x")]) == 3
+    assert not (tmp_path / "x").exists()
 
 
 def test_exit_code_io_error(tmp_path, scaled_cfg_file):

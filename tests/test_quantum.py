@@ -13,7 +13,6 @@ from microlaser.core import (
     VelocityDistribution,
     averaged_beta_table,
     injection_rate,
-    interaction_time,
 )
 from microlaser.errors import TruncationError
 from microlaser import quantum
@@ -25,7 +24,6 @@ from microlaser.quantum import (
     g2_regression,
     q_and_tau_from_g2,
     steady_state,
-    validity_check,
 )
 from conftest import random_config
 
@@ -591,34 +589,6 @@ def test_g2_summary_properties_random_configs(config_seed):
     else:
         assert res.tau_c > 0.0
         assert res.tau_c * w.sum() == pytest.approx(integral, rel=1e-12)
-
-
-def test_validity_check_published_ratio(published_cfg):
-    fock = np.zeros(501)
-    fock[500] = 1.0
-    report = validity_check(published_cfg, PhotonDistribution(fock))
-    assert report.rabi_angle_ratio == pytest.approx(0.00517, rel=2e-3)
-    assert not report.questionable
-    g_t = published_cfg.g0 * interaction_time(published_cfg.v0, published_cfg.mode_waist)
-    assert report.phase_perturbation == pytest.approx(g_t / math.sqrt(501.0), rel=1e-12)
-
-
-def test_validity_check_flags_small_fields(published_cfg):
-    one = np.zeros(2)
-    one[1] = 1.0
-    cfg = MicrolaserConfig(
-        g0=(0.5) / interaction_time(750.0, 41e-6),  # g t_int = 0.5 > 0.3
-        gamma_c=TWO_PI * 150e3, mode_waist=41e-6, v0=750.0, n_atoms_mean=1.0,
-    )
-    report = validity_check(cfg, PhotonDistribution(one))
-    assert report.rabi_angle_ratio == pytest.approx(0.5, rel=1e-12)
-    assert report.questionable
-    tiny = MicrolaserConfig(
-        g0=1e-30, gamma_c=TWO_PI * 150e3, mode_waist=41e-6, v0=750.0, n_atoms_mean=1.0
-    )
-    report = validity_check(tiny, PhotonDistribution(one))
-    assert report.rabi_angle_ratio == pytest.approx(0.0, abs=1e-20)
-    assert not report.questionable
 
 
 def test_random_configs_null_vector_property():

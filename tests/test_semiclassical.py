@@ -10,6 +10,7 @@ from microlaser.core import (
     TWO_PI,
     MicrolaserConfig,
     VelocityDistribution,
+    averaged_beta,
     injection_rate,
     interaction_time,
 )
@@ -20,9 +21,7 @@ from microlaser.semiclassical import (
     SweepPoint,
     SweepResult,
     find_fixed_points,
-    gain,
     gain_derivative,
-    loss,
     restoring_rate,
     sweep,
 )
@@ -53,11 +52,9 @@ def gain_oracle(cfg, n, n_nodes=2**14):
     return injection_rate(cfg) * float(np.sin(np.sqrt(n + 1.0) * theta) ** 2 @ w)
 
 
-def test_loss_values(published_cfg):
-    assert loss(0.0, published_cfg) == 0.0
-    assert loss(1.0, published_cfg) == published_cfg.gamma_c
-    # 500 photons at Gamma_c = 2pi x 150 kHz
-    assert loss(500.0, published_cfg) == pytest.approx(4.7124e8, rel=1e-4)
+def gain(n, cfg, dist):
+    """The rate-equation gain G(n) = r * beta-bar(n + 1) from the library kernel."""
+    return injection_rate(cfg) * averaged_beta(np.asarray(n, dtype=float) + 1.0, cfg, dist)
 
 
 def test_gain_zero_pump(published_cfg, published_dist):
@@ -153,7 +150,7 @@ def test_fixed_point_published_config(published_cfg, published_dist):
 def test_fixed_point_dense_scan_oracle(published_cfg, published_dist):
     # Independent check: a dense scan at step 1e-3 brackets the same root.
     grid = np.arange(FIXED_POINT_PUBLISHED - 1.0, FIXED_POINT_PUBLISHED + 1.0, 1e-3)
-    f = gain(grid, published_cfg, published_dist) - loss(grid, published_cfg)
+    f = gain(grid, published_cfg, published_dist) - published_cfg.gamma_c * grid
     idx = np.flatnonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0)
     assert idx.size == 1
     lo, hi = grid[idx[0]], grid[idx[0] + 1]
@@ -163,7 +160,7 @@ def test_fixed_point_dense_scan_oracle(published_cfg, published_dist):
 def test_residual_small_at_roots(published_cfg, published_dist):
     for fp in find_fixed_points(published_cfg, published_dist):
         g = gain(fp.n0, published_cfg, published_dist)
-        l = loss(fp.n0, published_cfg)
+        l = published_cfg.gamma_c * fp.n0
         assert abs(g - l) <= 1e-6 * max(g, l, published_cfg.gamma_c)
 
 
@@ -298,7 +295,7 @@ def _scalar_fixed_points(cfg, dist, n_scan_max=None, grid_step=0.25):
     if n_scan_max is None:
         n_scan_max = 1.1 * r / cfg.gamma_c + 10.0
     grid = np.arange(0.0, n_scan_max + grid_step, grid_step)
-    f = gain(grid, cfg, dist) - loss(grid, cfg)
+    f = gain(grid, cfg, dist) - cfg.gamma_c * grid
 
     roots = []
     if gain(0.0, cfg, dist) <= 1e-12 * max(r, cfg.gamma_c):
@@ -308,7 +305,7 @@ def _scalar_fixed_points(cfg, dist, n_scan_max=None, grid_step=0.25):
         fa = float(f[i])
         while (b - a) > semiclassical.ROOT_RTOL * max(1.0, abs(b)):
             mid = 0.5 * (a + b)
-            fm = float(gain(mid, cfg, dist) - loss(mid, cfg))
+            fm = float(gain(mid, cfg, dist) - cfg.gamma_c * mid)
             if fm == 0.0:
                 a = b = mid
                 break

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from microlaser.streams import (
     read_stream,
     read_timestamps_csv,
     write_mlts1,
-    write_timestamps_csv,
 )
 
 
@@ -57,7 +58,6 @@ def test_stream_allows_ties_and_empty():
     assert s.count == 2
     empty = TimestampStream(np.array([]), 2, 1.0)
     assert empty.count == 0
-    assert empty.rate == 0.0
 
 
 def test_mlts1_roundtrip(tmp_path):
@@ -131,19 +131,35 @@ def test_mlts1_truncated_in_a_later_block(tmp_path, kept_bytes):
         read_mlts1(path)
 
 
+def test_mlts1_header_beyond_the_file_is_refused_before_allocating(tmp_path):
+    # a count of 1e11 events would ask for 745 GiB before the first read
+    path = tmp_path / "corrupt.mlts1"
+    path.write_bytes(b"MLTS1 1 1000 100000000000\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"truncated payload \(0 bytes for 100000000000 events"):
+            read_mlts1(path)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
 def test_csv_roundtrip(tmp_path):
-    stream = TimestampStream(np.array([2e-9, 5e-9, 5e-9]), 1, 1e-6)
     path = tmp_path / "s.csv"
-    write_timestamps_csv(stream, path)
+    path.write_text("# channel = 1\n# duration_ps = 1000000\ntimestamp_ps\n2000\n5000\n\n5000\n")
     back = read_timestamps_csv(path)
     assert back.channel == 1
-    assert back.duration == pytest.approx(1e-6)
-    assert np.max(np.abs(back.times - stream.times)) <= 0.5e-12
+    assert back.duration == 1e-6
+    assert back.times.tolist() == [2e-9, 5e-9, 5e-9]
+    # without header lines: channel 0, the run ends at the last event
+    path.write_text("timestamp_ps\n7\n9\n")
+    back = read_timestamps_csv(path)
+    assert (back.channel, back.duration, back.count) == (0, 9e-12, 2)
 
 
 def test_read_stream_dispatches(tmp_path):
     stream = TimestampStream(np.array([1e-9]), 1, 1e-6)
     write_mlts1(stream, tmp_path / "a.mlts1")
-    write_timestamps_csv(stream, tmp_path / "a.csv")
+    (tmp_path / "a.csv").write_text("timestamp_ps\n1000\n")
     assert read_stream(tmp_path / "a.mlts1").count == 1
     assert read_stream(tmp_path / "a.csv").count == 1
