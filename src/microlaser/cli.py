@@ -143,10 +143,12 @@ def _theory(cfg, dist):
     return p, curve, quantum.q_and_tau_from_g2(curve, p.mean)
 
 
-def _basis_entries(cfg, p) -> list[tuple[str, object]]:
+def _basis_entries(cfg, p, curve) -> list[tuple[str, object]]:
     """The photon basis the theory asked for and the one its steady state
-    used, larger after a tail check doubled it."""
-    return [("n_basis_requested", quantum.effective_n_max(cfg)), ("n_basis_used", p.n_max)]
+    used, larger after a tail check doubled it; the states the g2 solve kept
+    and the error bound of its outflux check."""
+    return [("n_basis_requested", quantum.effective_n_max(cfg)), ("n_basis_used", p.n_max),
+            ("g2_kept_states", curve.kept_states), ("g2_outflux_bound", curve.outflux_bound)]
 
 
 def _parse_n_range(text: str) -> list[float]:
@@ -236,7 +238,7 @@ def cmd_predict_g2(args) -> int:
         ("n_mean", p.mean), ("mandel_q_moments", p.mandel_q), ("c0", summary.c0),
         ("tau_c_s", summary.tau_c), ("q_from_fit", summary.q), ("plateau", summary.plateau),
         ("weight_ratio", summary.weight_ratio), ("config_hash", config_fingerprint(cfg, dist)),
-    ] + _basis_entries(cfg, p)
+    ] + _basis_entries(cfg, p, curve)
     rows = (f"{t:.17g},{v:.17g}\n" for t, v in zip(curve.tau, curve.values))
     _write_table(args.out, header, "tau_seconds,g2", rows)
     manifest.write(str(args.out) + ".manifest.txt")
@@ -343,7 +345,7 @@ def cmd_pipeline(args) -> int:
         solved = _theory(cfg, dist)
         if solved is None:
             raise ConfigError("pipeline needs a nonempty steady state")
-        p, _, theory = solved
+        p, curve, theory = solved
 
         stage = "simulate"
         rec = trajectory.simulate(
@@ -384,7 +386,7 @@ def cmd_pipeline(args) -> int:
         ("z_c0", z_c0), ("sign_match_c0", fit.c0 * theory.c0 > 0.0),
         ("detections_ch1", rec.stream1.count), ("detections_ch2", rec.stream2.count),
         ("duration_s", args.duration_s),
-    ] + _basis_entries(cfg, p)
+    ] + _basis_entries(cfg, p, curve)
     _write_report(report_path, manifest.entries(), _fit_entries(fit, q_est) + extra)
     _write_estimate(g2_csv_path, manifest.entries(), est)
     manifest.write(out_dir / "manifest.txt")

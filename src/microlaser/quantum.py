@@ -215,7 +215,9 @@ class G2Curve:
     g2(tau) - 1 = plateau + sum_k weights[k] exp(rates[k] tau): ``rates`` are
     the (negative) eigenvalues of the decaying modes and ``plateau`` is
     g2(infinity) - 1, which is nonzero only when the steady state splits
-    into parts that exchange photons too slowly to resolve.
+    into parts that exchange photons too slowly to resolve. ``g2_regression``
+    also records how many states its blocks kept and the error bound of its
+    outflux check; a curve built by hand has neither.
     """
 
     tau: np.ndarray
@@ -223,6 +225,8 @@ class G2Curve:
     rates: np.ndarray
     weights: np.ndarray
     plateau: float
+    kept_states: int | None = None
+    outflux_bound: float | None = None
 
     def __post_init__(self):
         tau = np.asarray(self.tau, dtype=float)
@@ -251,6 +255,12 @@ def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
 
 
+def _leading_within(costs: np.ndarray, share: float) -> int:
+    """Length of the leading run of ``costs`` that stay within ``share``."""
+    over = np.flatnonzero(costs > share)
+    return int(over[0]) if over.size else costs.size
+
+
 def g2_regression(
     cfg: MicrolaserConfig,
     dist: VelocityDistribution,
@@ -263,24 +273,39 @@ def g2_regression(
     W_m(0) = (m+1) P_{m+1} sums to <n> and evolves under the same generator
     A as the populations; then g2(tau) = sum_m m W_m(tau) / <n>^2.
 
-    A is solved in closed form. On each block of consecutive states with
-    P_n > SPECTRAL_FLOOR * max P (reflecting at the block edges), detailed
-    balance makes S = D^-1 A D with D = diag(sqrt(P)) symmetric tridiagonal,
-    with off-diagonal sqrt(birth_n death_{n+1}). One ``eigh`` S = U L U^T per
-    block gives sum_m m W_m(tau) = sum_k a_k b_k exp(lambda_k tau) with
+    A is solved in closed form. The states with P_n > SPECTRAL_FLOOR * max P
+    fall into runs of consecutive photon numbers, and each run is trimmed at
+    both ends as far as the outflux budget allows (below). On each trimmed
+    block (reflecting at its edges), detailed balance makes S = D^-1 A D with
+    D = diag(sqrt(P)) symmetric tridiagonal, with off-diagonal
+    sqrt(birth_n death_{n+1}). One ``eigh`` S = U L U^T per block gives
+    sum_m m W_m(tau) = sum_k a_k b_k exp(lambda_k tau) with
     a = U^T (n sqrt(P)) and b = U^T (W(0) / sqrt(P)), for any tau grid.
     Each block's stationary mode, sqrt(P) with lambda = 0, is taken
     analytically; with the modes that eigh cannot tell from lambda = 0 (see
     STATIONARY_RATE_TOL) it makes up the plateau g2(infinity) - 1. All other
     eigenpairs are returned as the decaying ``rates`` and ``weights``, from
-    a and b with the stationary mode projected out.
+    a and b with the stationary mode projected out, and the curve is
+    1 + plateau + sum_k weights_k exp(rates_k tau).
 
-    The cut is checked on the full basis: the block solution at tau = 0 and
-    at the largest tau is padded with zeros and sent through the full
-    generator; the flux it puts outside the kept states, plus the flux past
-    the reflecting top of the basis and the part of W(0) left outside,
-    bounds the error of the curve. A TruncationError is raised when that
-    bound exceeds OUTFLUX_LIMIT.
+    The trim: under detailed balance W / P evolves by a stochastic
+    semigroup, so |W_m(tau)| <= (r / Gamma_c) P_m. Cutting a run below state
+    a then costs at most sum_{m<a} W_m(0) + T (r / Gamma_c) death_a P_a over
+    the span T = max(tau_max, DEFAULT_TAU_SPAN_LIFETIMES / Gamma_c), and
+    cutting its top the same with the birth rate of the last kept state.
+    Each edge drops states while its cost, weighted by N_MAX_CAP / <n>^2,
+    stays within an equal share of half of OUTFLUX_LIMIT. Neither the weight
+    nor the span depends on the basis or on the tau grid, so neither moves
+    the window. The W(0) of the dropped states joins the nearest kept state
+    of the run, so the blocks carry all of W(0); it still counts as error.
+
+    The cut is checked on the full basis: W(0) on the kept states and the
+    block solution at the largest tau are padded with zeros and sent through
+    the full generator; the flux it puts outside the kept states, plus the flux past
+    the reflecting top of the basis and the part of W(0) moved or left
+    outside, bounds the error of the curve. A TruncationError is raised when
+    that bound exceeds OUTFLUX_LIMIT. The curve records the kept-state count
+    and the bound.
 
     ``steady`` must be ``steady_state(cfg, dist)`` for the same ``cfg`` and
     ``dist``; a caller that already holds it passes it to skip a second
@@ -304,12 +329,34 @@ def g2_regression(
     n = np.arange(probs.size, dtype=float)
     w0 = np.zeros(probs.size)
     w0[:-1] = n[1:] * probs[1:]
-    kept = probs > SPECTRAL_FLOOR * probs.max()
-    correlator = np.zeros(taus.size)
+    r = injection_rate(cfg)
+    norm = n_mean * n_mean
+    floor = probs > SPECTRAL_FLOOR * probs.max()
+    runs = _runs(floor)
+    share = 0.5 * OUTFLUX_LIMIT * norm / N_MAX_CAP / (2 * len(runs))
+    # T (r / Gamma_c) P_n: times the rate out of an edge state, the most
+    # mass that leaves through it over the span
+    reach = max(tau_max, DEFAULT_TAU_SPAN_LIFETIMES / cfg.gamma_c) * r / cfg.gamma_c * probs
+    up, down = gen.birth * reach, gen.death * reach
+    kept = np.zeros(probs.size, dtype=bool)
     w_end = np.zeros(probs.size)
-    stationary = 0.0
+    excess = 0.0  # the stationary terms, less <n>^2
     rates, weights = [], []
-    for lo, hi in _runs(kept):
+    for lo, hi in runs:
+        # trim toward the run's most probable state, which is always kept
+        peak = lo + int(np.argmax(probs[lo:hi]))
+        lo_cut = lo + _leading_within(
+            np.cumsum(w0[lo:peak]) + down[lo + 1:peak + 1], share
+        )
+        hi_cut = hi - _leading_within(
+            np.cumsum(w0[peak + 1:hi][::-1]) + up[peak:hi - 1][::-1], share
+        )
+        wb = w0[lo_cut:hi_cut].copy()
+        wb[0] += w0[lo:lo_cut].sum()
+        wb[-1] += w0[hi_cut:hi].sum()
+        lo, hi = lo_cut, hi_cut
+        kept[lo:hi] = True
+
         birth = gen.birth[lo:hi].copy()
         death = gen.death[lo:hi].copy()
         birth[-1] = 0.0  # reflect at the block edges
@@ -321,23 +368,24 @@ def g2_regression(
         lam, u = np.linalg.eigh(s_mat, UPLO="L")
         del s_mat  # the m x m arrays of one block are freed before the next
         root_p = np.sqrt(probs[lo:hi])
-        a = (n[lo:hi] * root_p) @ u
-        b = (w0[lo:hi] / root_p) @ u
+        b = (wb / root_p) @ u
         w_end[lo:hi] = root_p * (u @ (np.exp(lam * tau_max) * b))
         # The stationary mode sqrt(P) is known exactly: its term is the block
         # mean of n times the block's W(0), and it is projected out of a and
         # b for the other modes, which eigh blends with it when one is slow.
+        # Less its share of <n>^2, the term is the product of the block's
+        # deviations from <n>, so that one block gives a plateau far below
+        # the round-off of 1, which near a Q = 0 crossing exceeds c0.
         mass = probs[lo:hi].sum()
         block_n = float(n[lo:hi] @ probs[lo:hi]) / mass
-        block_w0 = float(w0[lo:hi].sum())
+        block_w0 = float(wb.sum())
         ab = (((n[lo:hi] - block_n) * root_p) @ u) * (
-            (w0[lo:hi] / root_p - (block_w0 / mass) * root_p) @ u
+            (wb / root_p - (block_w0 / mass) * root_p) @ u
         )
         del u
-        correlator += np.exp(np.outer(taus, lam)) @ (a * b)
         # eigh sorts ascending, so lam[0] sets the scale of its rounding error
         zero = lam >= STATIONARY_RATE_TOL * lam[0]
-        stationary += block_n * block_w0 + float(ab[zero].sum())
+        excess += (block_n - n_mean) * (block_w0 - mass * n_mean) + float(ab[zero].sum())
         rates.append(lam[~zero])
         weights.append(ab[~zero])
 
@@ -347,27 +395,36 @@ def g2_regression(
         float(np.abs(gen.matvec(w_end)[outside]).sum()),
     )
     # The full chain sends r beta_bar_{n_max+1} W_{n_max} past the top, which
-    # the reflecting truncation hides. Under detailed balance W / P evolves by
-    # a stochastic semigroup, so it never exceeds its largest start value
-    # (n+1) P_{n+1} / P_n = r beta_bar_{n+1} / Gamma_c <= r / Gamma_c: with
-    # beta_bar <= 1 that flux is at most (r^2 / Gamma_c) P_{n_max}.
-    r = injection_rate(cfg)
+    # the reflecting truncation hides. By the same semigroup bound W_n <=
+    # (r / Gamma_c) P_n, and with beta_bar <= 1 that flux is at most
+    # (r^2 / Gamma_c) P_{n_max}.
     leak += r * r / cfg.gamma_c * float(probs[-1])
     lost = float(w0[outside].sum()) + tau_max * leak
-    bound = p.n_max * lost / (n_mean * n_mean)
+    bound = p.n_max * lost / norm
     if not bound <= OUTFLUX_LIMIT:
         raise TruncationError(
             f"g2 spectral window too narrow: states outside the kept blocks "
-            f"(P_n <= {SPECTRAL_FLOOR:.0e} max P) and past the basis top would "
-            f"change g2 by up to {bound:.3e} (limit {OUTFLUX_LIMIT:.0e})"
+            f"(P_n <= {SPECTRAL_FLOOR:.0e} max P, or trimmed) and past the basis "
+            f"top would change g2 by up to {bound:.3e} (limit {OUTFLUX_LIMIT:.0e})"
         )
-    norm = n_mean * n_mean
+    rates = np.concatenate(rates)
+    weights = np.concatenate(weights) / norm
+    # the shares of <n>^2 that no block holds: the n P and P outside them,
+    # and the W(0) below the floor
+    excess += n_mean * (
+        n_mean * float(probs[outside].sum())
+        - float(n[outside] @ probs[outside])
+        - float(w0[~floor].sum())
+    )
+    plateau = excess / norm
     return G2Curve(
         tau=taus,
-        values=correlator / norm,
-        rates=np.concatenate(rates),
-        weights=np.concatenate(weights) / norm,
-        plateau=float(stationary / norm - 1.0),
+        values=1.0 + plateau + np.exp(np.outer(taus, rates)) @ weights,
+        rates=rates,
+        weights=weights,
+        plateau=plateau,
+        kept_states=int(kept.sum()),
+        outflux_bound=bound,
     )
 
 

@@ -126,17 +126,17 @@ def test_predict_g2_delta_equals_one_node_gaussian(tmp_path):
 
 
 # sha256 of the predict-g2 data rows and of its n_mean, mandel_q_moments, c0
-# and tau_c_s header lines. The scaled record predates the shared steady
-# state and the in-place beta-bar kernel; the published one was recorded on
-# the 1.1 r / Gamma_c + 10 basis with the fixed-order beta-bar sum.
+# and tau_c_s header lines, recorded on the 1.1 r / Gamma_c + 10 basis with
+# the g2 window trimmed by the outflux budget and the curve summed from the
+# spectrum.
 PREDICT_G2_GOLDEN = {
     "scaled": (
-        "0c57dd891861457a33cf3fa1cf8c6c6a04c556ab726be2e702b4c59899b7240b",
-        "4769ce38e4ac0c477be53a615ac46d8fb2e4dae5a856ad352fbae19e56e06f32",
+        "23a46075d3530ca21279645d7605a0435ad885288052f67e1f1f9e54e2716fe7",
+        "815aa98b79885eb650ea424198a5d7884ace010267b255f2afe1b88ab098db50",
     ),
     "published": (
-        "7861661c4102b6045dedcf402f319c1d5c433e64afd346af5f0cee3fb3e609ef",
-        "d965778e26a8bd08e97685a5fa54be1c6ecbeb66b05b094df71a5baee2cae6fa",
+        "73381b7b546f7742d63ec96aa7a376f7d53fde24a19494a02984aeb2c9d99803",
+        "cbacd792a47317c382be62f8b155087a0dbd7b6d38db108b702c4e8ebddd1585",
     ),
 }
 GOLDEN_KEYS = ("n_mean", "mandel_q_moments", "c0", "tau_c_s")
@@ -162,13 +162,17 @@ def test_predict_g2_records_the_basis(tmp_path):
         out = tmp_path / "g2.csv"
         assert main(["predict-g2", "--config", str(cfg_path), "--out", str(out)]) == 0
         values = dict(l[2:].split(" = ", 1) for l in header_lines(out))
-        return int(values["n_basis_requested"]), int(values["n_basis_used"])
+        return (int(values["n_basis_requested"]), int(values["n_basis_used"]),
+                int(values["g2_kept_states"]), float(values["g2_outflux_bound"]))
 
-    assert basis(CONFIGS / "published.cfg") == (1914, 1914)
+    requested, used, kept, bound = basis(CONFIGS / "published.cfg")
+    assert (requested, used, kept) == (1914, 1914, 244)
+    # 292 states lie above SPECTRAL_FLOOR; the outflux budget keeps fewer
+    assert kept < 292 and 0.0 < bound <= 1e-10
     # the tail check doubles a basis that is too small
     doubled = tmp_path / "doubled.cfg"
     doubled.write_text(SCALED_CFG.replace("n_max = 256", "n_max = 40"))
-    assert basis(doubled) == (40, 80)
+    assert basis(doubled)[:2] == (40, 80)
 
 
 def test_predict_g2_solves_one_steady_state(tmp_path, monkeypatch):
@@ -390,6 +394,8 @@ def test_pipeline_end_to_end(tmp_path, scaled_cfg_file, capsys):
     assert np.isfinite(float(entries["z_c0"]))
     assert entries["sign_match_c0"] == "True"
     assert (entries["n_basis_requested"], entries["n_basis_used"]) == ("256", "256")
+    assert 0 < int(entries["g2_kept_states"]) <= 257
+    assert 0.0 < float(entries["g2_outflux_bound"]) <= 1e-10
     for name in ("ch1.mlts1", "ch2.mlts1", "g2.csv", "manifest.txt"):
         assert (out_dir / name).exists()
     assert "pipeline:" in capsys.readouterr().out

@@ -199,23 +199,24 @@ def _old_n_max(cfg):
 
 
 def _solve(cfg, dist, n_max=None):
-    """(steady state, g2 summary); the summary is None for an empty field and
-    a TruncationError where the g2 solve refuses its window."""
+    """(steady state, g2 summary, kept states); the summary is None for an
+    empty field and a TruncationError where the g2 solve refuses its window."""
     p = steady_state(cfg, dist, n_max=n_max)
     if p.mean <= 0.0:
-        return p, None
+        return p, None, None
     try:
-        return p, q_and_tau_from_g2(g2_regression(cfg, dist, steady=p), p.mean)
+        curve = g2_regression(cfg, dist, steady=p)
     except TruncationError as exc:
-        return p, exc
+        return p, exc, None
+    return p, q_and_tau_from_g2(curve, p.mean), curve.kept_states
 
 
 def _assert_matches_old_basis(cfg, dist):
     try:
-        old_p, old_g2 = _solve(cfg, dist, _old_n_max(cfg))
+        old_p, old_g2, old_kept = _solve(cfg, dist, _old_n_max(cfg))
     except TruncationError:
         return
-    new_p, new_g2 = _solve(cfg, dist)  # raises nowhere the old basis solves
+    new_p, new_g2, new_kept = _solve(cfg, dist)  # raises nowhere the old basis solves
     if old_p.mean <= 0.0:
         assert new_p.mean == 0.0
         return
@@ -227,6 +228,8 @@ def _assert_matches_old_basis(cfg, dist):
     if isinstance(old_g2, TruncationError):
         return
     assert not isinstance(new_g2, TruncationError), new_g2
+    # the trim is weighted by N_MAX_CAP, not n_max: one window on both bases
+    assert new_kept == old_kept
     assert new_g2.c0 == pytest.approx(old_g2.c0, rel=1e-10, abs=0.0)
     assert (new_g2.tau_c is None) == (old_g2.tau_c is None)
     if old_g2.tau_c is not None:
@@ -347,8 +350,9 @@ def test_g2_coherent_surrogate_is_flat(monkeypatch):
     assert np.max(np.abs(curve.values - 1.0)) < 1e-8
 
 
-def ode_g2(cfg, dist, taus):
-    """Reference g2: stiff ODE regression of W(0) = (m+1) P_{m+1} on the full basis.
+def ode_w(cfg, dist, taus):
+    """(steady state, W(tau) with one column per tau): the stiff ODE
+    regression of W(0) = (m+1) P_{m+1} on the full basis.
 
     scipy's implicit Radau integrator on the sparse tridiagonal generator,
     independent of the spectral solution. The tolerances keep its own error
@@ -366,7 +370,13 @@ def ode_g2(cfg, dist, taus):
         jac=a, rtol=1e-12, atol=1e-14 * w0.max(),
     )
     assert sol.success, sol.message
-    return np.arange(gen.size, dtype=float) @ sol.y / p.mean**2
+    return p, sol.y
+
+
+def ode_g2(cfg, dist, taus):
+    """Reference g2 from ``ode_w``."""
+    p, w = ode_w(cfg, dist, taus)
+    return np.arange(p.probabilities.size, dtype=float) @ w / p.mean**2
 
 
 def test_g2_matches_ode_reference_random_configs():
@@ -379,6 +389,24 @@ def test_g2_matches_ode_reference_random_configs():
         taus = np.linspace(0.0, 3.0 / cfg.gamma_c, 9)
         curve = g2_regression(cfg, dist, tau_grid=taus)
         assert np.max(np.abs(curve.values - ode_g2(cfg, dist, taus))) <= 1e-10
+        checked += 1
+    assert checked >= 12
+
+
+def test_ode_reference_obeys_the_trim_bound():
+    # the bound that g2_regression trims its window by: W / P evolves by a
+    # stochastic semigroup from W_m(0) / P_m = r beta_bar_{m+1} / Gamma_c, so
+    # |W_m(tau)| <= (r / Gamma_c) P_m at every tau
+    rng = np.random.default_rng(31)
+    checked = 0
+    for _ in range(16):
+        cfg, dist = random_config(rng)
+        if steady_state(cfg, dist).mean <= 0.0:
+            continue
+        p, w = ode_w(cfg, dist, np.array([0.0, 0.1, 0.5, 1.0, 3.0]) / cfg.gamma_c)
+        bound = injection_rate(cfg) / cfg.gamma_c * p.probabilities
+        # the integrator's own error is near its atol of 1e-14 max W(0)
+        assert np.all(np.abs(w) <= bound[:, None] + 1e-13 * w[:, 0].max())
         checked += 1
     assert checked >= 12
 
@@ -408,6 +436,17 @@ def test_g2_truncation_guard_counts_the_flux_past_the_top(scaled_cfg, scaled_dis
     assert steady_state(cfg, scaled_dist).n_max == 52
     with pytest.raises(TruncationError, match="past the basis top"):
         g2_regression(cfg, scaled_dist)
+
+
+def test_g2_window_of_the_published_point(published_cfg, published_dist):
+    # the outflux budget trims the 292 states above SPECTRAL_FLOOR to 244,
+    # with the check well inside its limit
+    probs = steady_state(published_cfg, published_dist).probabilities
+    (lo, hi), = quantum._runs(probs > quantum.SPECTRAL_FLOOR * probs.max())
+    assert hi - lo == 292
+    curve = g2_regression(published_cfg, published_dist)
+    assert curve.kept_states == 244
+    assert 0.0 < curve.outflux_bound <= quantum.OUTFLUX_LIMIT
 
 
 def test_g2_rejects_bad_tau_grid(scaled_cfg, scaled_dist):
@@ -598,3 +637,21 @@ def test_random_configs_null_vector_property():
         p = steady_state(cfg, dist)
         gen = build_generator(cfg, dist, n_max=p.n_max)
         assert np.max(np.abs(gen.matvec(p.probabilities))) / cfg.gamma_c < 1e-10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(config_seed=st.integers(0, 2**32 - 1), span=st.floats(0.0, 1.0))
+@example(config_seed=BISTABLE_SEED, span=0.0)
+def test_g2_c0_is_the_same_on_every_short_tau_grid(config_seed, span):
+    # the window is trimmed over at least DEFAULT_TAU_SPAN_LIFETIMES / Gamma_c,
+    # so no grid that ends before it moves the spectrum
+    cfg, dist = random_config(np.random.default_rng(config_seed))
+    p = steady_state(cfg, dist)
+    if p.mean <= 0.0:
+        return
+    tau_max = span * quantum.DEFAULT_TAU_SPAN_LIFETIMES / cfg.gamma_c
+    c0 = {
+        q_and_tau_from_g2(g2_regression(cfg, dist, tau_grid=grid, steady=p), p.mean).c0
+        for grid in (None, np.array([0.0]), np.linspace(0.0, tau_max, 7))
+    }
+    assert len(c0) == 1, c0
