@@ -293,10 +293,11 @@ def g2_regression(
     a then costs at most sum_{m<a} W_m(0) + T (r / Gamma_c) death_a P_a over
     the span T = max(tau_max, DEFAULT_TAU_SPAN_LIFETIMES / Gamma_c), and
     cutting its top the same with the birth rate of the last kept state.
-    Each edge drops states while its cost, weighted by N_MAX_CAP / <n>^2,
-    stays within an equal share of half of OUTFLUX_LIMIT. Neither the weight
-    nor the span depends on the basis or on the tau grid, so neither moves
-    the window. The W(0) of the dropped states joins the nearest kept state
+    Each edge drops states while its cost, weighted by
+    max(N_MAX_CAP, n_max) / <n>^2, stays within an equal share of half of
+    OUTFLUX_LIMIT, so the trim spends at most half of the check's limit.
+    Up to N_MAX_CAP neither the weight nor the span depends on the basis or
+    on the tau grid, so neither moves the window. The W(0) of the dropped states joins the nearest kept state
     of the run, so the blocks carry all of W(0); it still counts as error.
 
     The cut is checked on the full basis: W(0) on the kept states and the
@@ -333,7 +334,7 @@ def g2_regression(
     norm = n_mean * n_mean
     floor = probs > SPECTRAL_FLOOR * probs.max()
     runs = _runs(floor)
-    share = 0.5 * OUTFLUX_LIMIT * norm / N_MAX_CAP / (2 * len(runs))
+    share = 0.5 * OUTFLUX_LIMIT * norm / max(N_MAX_CAP, p.n_max) / (2 * len(runs))
     # T (r / Gamma_c) P_n: times the rate out of an edge state, the most
     # mass that leaves through it over the span
     reach = max(tau_max, DEFAULT_TAU_SPAN_LIFETIMES / cfg.gamma_c) * r / cfg.gamma_c * probs

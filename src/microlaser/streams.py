@@ -11,8 +11,6 @@ read as input.
 from __future__ import annotations
 
 import os
-import re
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +19,6 @@ MAGIC = b"MLTS1"
 PS_PER_SECOND = 1e12
 # events per read of an MLTS1 payload: the integer block stays in cache
 READ_BLOCK = 1 << 17
-# characters per step of the timestamp CSV scan
-_CSV_SCAN_CHARS = 1 << 20
-# what marks a comment or a column-name line, and a blank line after a newline
-_CSV_MARKS = (re.compile("#"), re.compile("timestamp_ps"))
-_CSV_BLANK = re.compile(r"\n[^\S\n]*(?=\n)")
 
 
 @dataclass(frozen=True)
@@ -111,82 +104,32 @@ def read_mlts1(path) -> TimestampStream:
 
 
 def read_timestamps_csv(path) -> TimestampStream:
-    """Read the one-column CSV of integer picoseconds.
-
-    Each line is blank, a ``#`` comment, the column name ``timestamp_ps``
-    or one unsigned decimal integer (ASCII digits, optional ``+``), with
-    whitespace around it; any kind of line may stand anywhere.
-    ``# channel = ...`` and ``# duration_ps = ...`` set the channel (default
-    0) and the run length (default: the last event); the last such line
-    wins. Anything else raises ValueError.
-
-    One scan of the text, a block at a time, reads the comments and
-    counts the data rows between column-name lines; ``np.loadtxt`` then
-    parses each run of rows straight from the file.
-    """
-    channel, duration_ps = 0, None
-    runs = []  # (first line, data rows) between column-name lines
-    start = lines = blanks = comments = names = seen = 0
+    channel = 0
+    duration_ps = None
+    values = []
     with open(path) as fh:
-        tail = ""
-        while True:
-            chunk = fh.read(_CSV_SCAN_CHARS)
-            text = tail + chunk
-            if chunk:
-                cut = text.rfind("\n") + 1
-                text, tail = text[:cut], text[cut:]
-            elif text and not text.endswith("\n"):
-                text += "\n"  # count the last line like the others
-            done = 0
-            for pos in sorted(m.start() for mark in _CSV_MARKS for m in mark.finditer(text)):
-                first = text.rfind("\n", 0, pos) + 1
-                if first < done:
-                    continue  # a second mark on one line
-                done = text.index("\n", first) + 1
-                body = text[first:done].strip()
-                if body.startswith("#"):
-                    comments += 1
-                    body = body[1:].strip()
-                    if body.startswith(("channel", "duration_ps")):
-                        _, sep, value = body.partition("=")
-                        if not sep:
-                            raise ValueError(f"{path}: no '=' in {body!r}")
-                        if body.startswith("channel"):
-                            channel = int(value)
-                        else:
-                            duration_ps = int(value)
-                elif body == "timestamp_ps":
-                    line = lines + text.count("\n", 0, first)
-                    blank = blanks + len(_CSV_BLANK.findall("\n" + text[:first]))
-                    data = line - blank - comments - names
-                    runs.append((start, data - seen))
-                    start, seen, names = line + 1, data, names + 1
-                else:
-                    raise ValueError(f"{path}: not an integer: {body!r}")
-            lines += text.count("\n")
-            blanks += len(_CSV_BLANK.findall("\n" + text))
-            if not chunk:
-                break
-    runs.append((start, lines - blanks - comments - names - seen))
-
-    parts = []
-    for first, rows in runs:
-        if rows:
-            with warnings.catch_warnings():
-                # max_rows counts rows, not lines, as the counts above do
-                warnings.filterwarnings("ignore", "Input line", UserWarning)
-                part = np.loadtxt(path, dtype=np.uint64, comments="#", skiprows=first,
-                                  max_rows=rows, ndmin=2)
-            if part.shape != (rows, 1):
-                raise ValueError(f"{path}: expected {rows} rows of one integer after "
-                                 f"line {first}, got shape {part.shape}")
-            parts.append(part[:, 0])
-    ps = parts[0] if len(parts) == 1 else np.concatenate(parts or [np.empty(0, np.uint64)])
+        for raw in fh:
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("channel"):
+                    channel = int(body.split("=", 1)[1])
+                elif body.startswith("duration_ps"):
+                    duration_ps = int(body.split("=", 1)[1])
+                continue
+            if line == "timestamp_ps":
+                continue
+            values.append(int(line))
+    ps = np.asarray(values, dtype=np.uint64)
     if duration_ps is None:
         duration_ps = int(ps[-1]) if ps.size else 0
-    times = ps.astype(float)
-    times /= PS_PER_SECOND
-    return TimestampStream(times=times, channel=channel, duration=duration_ps / PS_PER_SECOND)
+    return TimestampStream(
+        times=ps.astype(float) / PS_PER_SECOND,
+        channel=channel,
+        duration=duration_ps / PS_PER_SECOND,
+    )
 
 
 def read_stream(path) -> TimestampStream:

@@ -228,7 +228,8 @@ def _assert_matches_old_basis(cfg, dist):
     if isinstance(old_g2, TruncationError):
         return
     assert not isinstance(new_g2, TruncationError), new_g2
-    # the trim is weighted by N_MAX_CAP, not n_max: one window on both bases
+    # up to N_MAX_CAP the trim's weight is N_MAX_CAP, not n_max: one window
+    # on both bases
     assert new_kept == old_kept
     assert new_g2.c0 == pytest.approx(old_g2.c0, rel=1e-10, abs=0.0)
     assert (new_g2.tau_c is None) == (old_g2.tau_c is None)
@@ -447,6 +448,21 @@ def test_g2_window_of_the_published_point(published_cfg, published_dist):
     curve = g2_regression(published_cfg, published_dist)
     assert curve.kept_states == 244
     assert 0.0 < curve.outflux_bound <= quantum.OUTFLUX_LIMIT
+
+
+def test_g2_window_on_a_basis_past_the_cap(published_cfg, published_dist):
+    # n_max may exceed N_MAX_CAP by hand (and steady_state doubles a capped
+    # basis). The check weighs its error by n_max, so the trim's weight
+    # follows it there: weighted by N_MAX_CAP alone, the trim of the
+    # published point spends more than the limit from n_max = 69,000 on
+    cfg = replace(published_cfg, n_max=100_000)
+    p = steady_state(cfg, published_dist)
+    assert p.n_max == 100_000
+    curve = g2_regression(cfg, published_dist, steady=p)
+    assert curve.outflux_bound <= quantum.OUTFLUX_LIMIT
+    default = g2_regression(published_cfg, published_dist)
+    assert 244 == default.kept_states < curve.kept_states
+    assert np.max(np.abs(curve.values - default.values)) <= quantum.OUTFLUX_LIMIT
 
 
 def test_g2_rejects_bad_tau_grid(scaled_cfg, scaled_dist):

@@ -1,12 +1,8 @@
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from microlaser import streams
 from microlaser.streams import (
     READ_BLOCK,
     TimestampStream,
@@ -167,111 +163,3 @@ def test_read_stream_dispatches(tmp_path):
     (tmp_path / "a.csv").write_text("timestamp_ps\n1000\n")
     assert read_stream(tmp_path / "a.mlts1").count == 1
     assert read_stream(tmp_path / "a.csv").count == 1
-
-
-def _line_reader(path) -> TimestampStream:
-    """The reader that parsed one line at a time: the oracle for the CSV route."""
-    channel = 0
-    duration_ps = None
-    values = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("channel"):
-                    channel = int(body.split("=", 1)[1])
-                elif body.startswith("duration_ps"):
-                    duration_ps = int(body.split("=", 1)[1])
-                continue
-            if line == "timestamp_ps":
-                continue
-            values.append(int(line))
-    ps = np.asarray(values, dtype=np.uint64)
-    if duration_ps is None:
-        duration_ps = int(ps[-1]) if ps.size else 0
-    return TimestampStream(
-        times=ps.astype(float) / 1e12,
-        channel=channel,
-        duration=duration_ps / 1e12,
-    )
-
-
-_SPACE = st.text(" \t\x0b\x0c", max_size=2)
-_OTHER = st.sampled_from([
-    "# channel = 3", "#channel=2", "# channel", "# channel = x",
-    "# duration_ps = 2000000000000000", "#duration_ps=5", "# duration_ps: 5",
-    "# a comment # with a second mark", "# timestamp_ps", "abc", "+", "-5",
-    "18446744073709551615", "18446744073709551616",
-])
-# rows built on the value before them, so that they keep the order
-_ROW_LIKE = st.sampled_from([
-    "{v}", "+{v}", "00{v}", "{v} # x", "{v} {v}", "{v},{v}", "{v}.5", "{v}e0",
-    "timestamp_ps {v}", "{v}timestamp_ps",
-])
-
-
-@st.composite
-def _csv_texts(draw):
-    """Mostly ascending integer rows, with blank, comment, metadata and
-    column-name lines at random places and now and then a malformed one."""
-    rows = sorted(draw(st.lists(st.integers(0, 10**15), max_size=25)))
-    lines = [f"{'+' if draw(st.booleans()) else ''}{v}" for v in rows]
-    for _ in range(draw(st.integers(0, 8))):
-        at = draw(st.integers(0, len(lines)))
-        other = draw(st.sampled_from(["", "timestamp_ps"]) | _OTHER
-                     | _ROW_LIKE.map(lambda t: t.format(v=rows[at - 1] if at else 0)))
-        lines.insert(at, other)
-        rows.insert(at, rows[at - 1] if at else 0)
-    lines = [draw(_SPACE) + line + draw(_SPACE) for line in lines]
-    end = draw(st.sampled_from(["\n", "\r\n"]))
-    return end.join(lines) + (end if draw(st.booleans()) else "")
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(text=_csv_texts(), block=st.sampled_from([7, 40, 1 << 20]))
-def test_csv_reader_matches_the_line_reader(tmp_path_factory, text, block):
-    path = tmp_path_factory.mktemp("csv") / "s.csv"
-    path.write_bytes(text.encode())
-    try:
-        expected = _line_reader(path)
-    except (ValueError, IndexError, OverflowError):
-        expected = None
-    with mock.patch.object(streams, "_CSV_SCAN_CHARS", block):
-        if expected is None:
-            with pytest.raises(ValueError):
-                read_timestamps_csv(path)
-            return
-        got = read_timestamps_csv(path)
-    assert (got.channel, got.duration) == (expected.channel, expected.duration)
-    assert got.times.tobytes() == expected.times.tobytes()
-
-
-@pytest.mark.parametrize("rows", ["1_000", "\u0661\u0662", "-0", "1 2\n3 4"])
-def test_csv_takes_one_column_of_ascii_digits(tmp_path, rows):
-    # the first three are spellings that int() takes but a time-tagger does
-    # not write; the line reader took them
-    path = tmp_path / "s.csv"
-    path.write_text(f"timestamp_ps\n{rows}\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        read_timestamps_csv(path)
-
-
-def test_csv_reader_memory(tmp_path):
-    # 500,000 events: the line reader peaked at 57 bytes an event, about
-    # 28 MB; the scan holds a few text blocks next to the two 4 MB arrays
-    events = 500_000
-    ps = np.cumsum(np.random.default_rng(9).integers(1, 2_000_000, events))
-    path = tmp_path / "big.csv"
-    path.write_text("# channel = 2\ntimestamp_ps\n" + "\n".join(map(str, ps.tolist())) + "\n")
-    tracemalloc.start()
-    try:
-        back = read_timestamps_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert back.count == events and back.channel == 2
-    assert np.array_equal(back.times, ps.astype(float) / 1e12)
-    assert peak < 16 * events + (6 << 20)
