@@ -8,12 +8,20 @@ how the start stream is partitioned.
 
 Each step works on data that fits in cache. Starts are taken in chunks of
 ``DEFAULT_CHUNK``. Two scalar searches bound the only stops that can pair
-with a chunk, those in [s[0], s[-1] + reach], and each start's first and
-last stop are searched in that slice, which is about one chunk long, instead
-of in the whole stream; the same comparisons give the same bounds. Pairs are
+with a chunk, those in [s[0], s[-1] + reach], and each start's first stop is
+searched in that slice, which is about one chunk long, instead of in the
+whole stream; the same comparisons give the same bounds. A chunk whose m
+stops give at most ``WALK_STEPS`` per window on average,
+m * reach / (s[-1] - s[0] + reach), then walks: each step bins the next stop
+of every start still inside its window, and a start drops out once a stop
+lands past the last bin or the slice ends. At sparse densities most windows
+hold 0-2 stops, and a step costs a few ns per start where a search costs
+about 20. The starts still inside their window after the walk, and every
+start of a denser chunk, search where their window ends, and their pairs are
 materialized at most ``PAIR_BATCH`` at a time (a start with more stops than
 that is taken whole): one stop index and one delay per pair, 256 kB per
-array at 2**15 pairs.
+array at 2**15 pairs. The slice stays a view of the stop stream, so a chunk
+of sparse starts against a long stop stream copies nothing.
 
 The chunks are shared out over one worker per usable CPU (the process's
 scheduler affinity, or ``os.cpu_count()`` where that is not available,
@@ -24,21 +32,27 @@ calling thread runs share 0 and a thread pool the others; with one worker no
 pool is started. If one share raises, or is interrupted, the other workers
 stop at their next chunk. Each share adds into its own int64 counts, and
 integer sums do not depend on order, so the histogram is the same for any
-number of workers. numpy's searches release the interpreter lock, which is
-where the second core pays. A worker runs only private code and numpy, so a
-tracer that wraps the public functions sees one ``correlate`` span. The pair
-budget is per worker and small because each worker thread allocates from its
-own malloc arena, which stays resident after the call, up to the most the
-worker held at once, under the next allocation peak of the process: at 2**17
-pairs per worker that raised the peak memory of a pipeline run by about
-15 %, at 2**15 by 0-4 %.
+number of workers. numpy releases the interpreter lock in its searches and
+in most of its passes over arrays, which is where the second core pays. A
+worker runs only private code and numpy, so a tracer that wraps the public
+functions sees one ``correlate`` span. The pair budget is per worker and
+small because each worker thread allocates from its own malloc arena, which
+stays resident after the call, up to the most the worker held at once, under
+the next allocation peak of the process: at 2**17 pairs per worker that
+raised the peak memory of a pipeline run by about 15 %, at 2**15 by 0-4 %.
 
-No validity mask is needed. The lower bound is a left search, so every stop
+No validity mask is needed. The first stop is a left search, so every stop
 is at or after its start, every delay is >= 0 and truncation toward zero is
-the floor. The upper bound is a right search at s + reach, with reach one
-ulp above the binned window: it keeps every stop whose float delay can
-round into the last bin, as the brute-force floor((t - s) / bin_width)
-keeps it, and what it keeps past the last bin is cut off after the bincount.
+the floor. For a fixed start the float delay fl(fl(t - s) / bin_width) does
+not decrease with t, so a walk that stops a start at its first stop past the
+last bin counts exactly the stops that the brute-force
+floor((t - s) / bin_width) puts in [0, n_bins). The walk clips its delays at
+n_bins, and one extra bin n_bins, cut off at the end, takes every stop past
+the window. The search bound is a right search at s + reach, with reach one
+ulp above the binned window: a stop whose float delay rounds into a bin
+below n_bins has t - s <= reach, so the bound keeps it, as the brute force
+keeps it, and keeps every stop the walk has binned. What the bound keeps
+past the last bin lands in bin n_bins or above and is cut off.
 
 One constructor, ``_estimate``, builds every g2 estimate from pair counts
 and a baseline. The module writes no files; ``cli`` formats its results.
@@ -63,6 +77,9 @@ from .streams import TimestampStream
 # the counts
 DEFAULT_CHUNK = 1 << 13
 PAIR_BATCH = 1 << 15
+# stops binned per start by walking before the rest of its window is searched;
+# longer walks timed alike on the correlate-file streams, 2 and 3 were slower
+WALK_STEPS = 4
 # a cgroup v2 CPU quota: "<quota> <period>" in microseconds, or "max <period>"
 CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
 
@@ -232,7 +249,8 @@ def _correlate_share(starts, stops, bin_width, n_bins, reach, chunk_size, worker
 
     Returns early, with partial counts, once ``stop`` is set.
     """
-    counts = np.zeros(n_bins, dtype=np.int64)
+    # bin n_bins collects the delays past the last bin and is cut off at the end
+    counts = np.zeros(n_bins + 1, dtype=np.int64)
     for begin in range(worker * chunk_size, starts.size, n_workers * chunk_size):
         if stop.is_set():
             break
@@ -244,6 +262,14 @@ def _correlate_share(starts, stops, bin_width, n_bins, reach, chunk_size, worker
             continue
         near = stops[j0:j1]
         lo = np.searchsorted(near, s, side="left")
+        walk = near.size * reach <= WALK_STEPS * (s[-1] - s[0] + reach)
+        # lo is nondecreasing, so the starts with no stop in the slice are a suffix
+        live = int(np.searchsorted(lo, near.size))
+        s, lo = s[:live], lo[:live]
+        if walk:
+            s, lo = _walk(counts, near, s, lo, bin_width, n_bins)
+        if not s.size:
+            continue
         per = np.searchsorted(near, s + reach, side="right") - lo
         ends = np.cumsum(per)
         # pair p of start i has stop index key[i] + p, counting p over the chunk
@@ -259,10 +285,35 @@ def _correlate_share(starts, stops, bin_width, n_bins, reach, chunk_size, worker
             tau -= np.repeat(s[sl], per[sl])
             tau /= bin_width
             # lo makes tau >= 0, so truncation is the floor; delays at or just past
-            # the reach land in bin n_bins or above and are cut off here
-            counts += np.bincount(tau.astype(np.int64), minlength=n_bins)[:n_bins]
+            # the reach land in bin n_bins or above, and those above are cut off here
+            counts += np.bincount(tau.astype(np.int64), minlength=n_bins + 1)[: n_bins + 1]
             first, done = last, ends[last - 1]
-    return counts
+    return counts[:n_bins]
+
+
+def _walk(counts, near, s, lo, bin_width, n_bins):
+    """Bin the next stop of every start at once, at most ``WALK_STEPS`` times.
+
+    For a fixed start the float delay does not decrease with the stop index,
+    so a start is done once a stop lands in bin n_bins or the slice ends.
+    Returns the starts still inside their window and their next stop index.
+    """
+    for _ in range(WALK_STEPS):
+        if not s.size:
+            break
+        tau = near[lo]
+        tau -= s
+        tau /= bin_width
+        np.minimum(tau, n_bins, out=tau)
+        bins = tau.astype(np.int64)
+        counts += np.bincount(bins, minlength=n_bins + 1)
+        lo += 1
+        inside = bins < n_bins
+        inside &= lo < near.size
+        # an index and two gathers: a boolean mask on each array is slower
+        inside = np.flatnonzero(inside)
+        s, lo = s.take(inside), lo.take(inside)
+    return s, lo
 
 
 def merge_histograms(parts) -> CorrelationHistogram:

@@ -108,20 +108,21 @@ def read_timestamps_csv(path) -> TimestampStream:
     duration_ps = None
     values = []
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
-            if not line:
+            if not line or line == "timestamp_ps":
                 continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("channel"):
-                    channel = int(body.split("=", 1)[1])
-                elif body.startswith("duration_ps"):
-                    duration_ps = int(body.split("=", 1)[1])
-                continue
-            if line == "timestamp_ps":
-                continue
-            values.append(int(line))
+            try:
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if body.startswith("channel"):
+                        channel = _header_int(body)
+                    elif body.startswith("duration_ps"):
+                        duration_ps = _header_int(body)
+                else:
+                    values.append(int(line))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     ps = np.asarray(values, dtype=np.uint64)
     if duration_ps is None:
         duration_ps = int(ps[-1]) if ps.size else 0
@@ -130,6 +131,14 @@ def read_timestamps_csv(path) -> TimestampStream:
         channel=channel,
         duration=duration_ps / PS_PER_SECOND,
     )
+
+
+def _header_int(body: str) -> int:
+    """The integer of a ``name = value`` header line, given without its '#'."""
+    name, sep, value = body.partition("=")
+    if not sep:
+        raise ValueError(f"expected '# {name.strip()} = <integer>', got no '='")
+    return int(value)
 
 
 def read_stream(path) -> TimestampStream:

@@ -563,6 +563,14 @@ def test_exit_code_corrupt_mlts1_header(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+def test_exit_code_csv_header_without_value(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("# channel\ntimestamp_ps\n1000\n")
+    assert main(["correlate-fit", str(bad), str(bad), "--window-us", "1",
+                 "--out", str(tmp_path / "x")]) == 3
+    assert not (tmp_path / "x").exists()
+
+
 def test_exit_code_io_error(tmp_path, scaled_cfg_file):
     out = tmp_path / "no" / "such" / "dir" / "x.csv"
     code = main(["predict-g2", "--config", str(scaled_cfg_file), "--out", str(out)])

@@ -178,22 +178,39 @@ def test_pair_budget_batching_invariance(monkeypatch):
     edge_stops=st.booleans(),
     chunk_size=st.sampled_from([1, 2, 3, 1 << 13]),
     pair_batch=st.sampled_from([1, 2, 5, 1 << 17]),
+    # 0 searches every window, a large value walks every window to its end
+    walk_steps=st.sampled_from([0, 1, 2, 1 << 20]),
 )
 @example(unit=1e-9, bin_units=1, n_bins=3, half_bin=False, start_ticks=[], stop_ticks=[],
-         edge_stops=False, chunk_size=1, pair_batch=1)
+         edge_stops=False, chunk_size=1, pair_batch=1, walk_steps=4)
 @example(unit=1e-9, bin_units=1, n_bins=3, half_bin=False, start_ticks=[5, 9], stop_ticks=[],
-         edge_stops=False, chunk_size=1, pair_batch=1)
+         edge_stops=False, chunk_size=1, pair_batch=1, walk_steps=4)
 @example(unit=1e-9, bin_units=1, n_bins=3, half_bin=False, start_ticks=[], stop_ticks=[60],
-         edge_stops=False, chunk_size=1, pair_batch=1)
+         edge_stops=False, chunk_size=1, pair_batch=1, walk_steps=4)
 @example(unit=1.0 / 3.0, bin_units=3, n_bins=5, half_bin=False,
          start_ticks=[0, 10, 60, 60, 120, 149, 150, 151, 200], stop_ticks=[60, 75, 150],
-         edge_stops=True, chunk_size=1, pair_batch=1)
-# a delay of exactly the reach whose float difference rounds into the last bin
+         edge_stops=True, chunk_size=1, pair_batch=1, walk_steps=4)
+# a delay of exactly the reach whose float difference rounds into the last bin,
+# found by the right search and by the walk
 @example(unit=7e-7, bin_units=1, n_bins=3, half_bin=False, start_ticks=[62], stop_ticks=[],
-         edge_stops=True, chunk_size=1, pair_batch=1)
+         edge_stops=True, chunk_size=1, pair_batch=1, walk_steps=0)
+@example(unit=7e-7, bin_units=1, n_bins=3, half_bin=False, start_ticks=[62], stop_ticks=[],
+         edge_stops=True, chunk_size=1, pair_batch=1, walk_steps=1 << 20)
+# one chunk at 15/43 stops per window walks two steps: start 0 has exactly two
+# stops in its window, start 20 one more, which the search after the walk finds
+@example(unit=1e-9, bin_units=1, n_bins=3, half_bin=False, start_ticks=[0, 20, 40],
+         stop_ticks=[0, 2, 20, 21, 22], edge_stops=False, chunk_size=1 << 13, pair_batch=1,
+         walk_steps=2)
+# both starts are still inside their windows when the chunk's stop slice ends
+@example(unit=1e-9, bin_units=1, n_bins=3, half_bin=False, start_ticks=[10, 11],
+         stop_ticks=[11, 12], edge_stops=False, chunk_size=1 << 13, pair_batch=1,
+         walk_steps=1 << 20)
+# chunk [0, 1] meets 2.25 stops per window and skips the walk, chunk [100, 200] walks
+@example(unit=1e-9, bin_units=1, n_bins=3, half_bin=False, start_ticks=[0, 1, 100, 200],
+         stop_ticks=[0, 1, 2, 101], edge_stops=False, chunk_size=2, pair_batch=1, walk_steps=1)
 def test_brute_force_parity_on_a_grid(
     unit, bin_units, n_bins, half_bin, start_ticks, stop_ticks, edge_stops,
-    chunk_size, pair_batch,
+    chunk_size, pair_batch, walk_steps,
 ):
     # Times on a grid of `unit` and bins a whole number of units wide put
     # delays exactly on bin edges; stops copied from starts give zero delay,
@@ -210,9 +227,33 @@ def test_brute_force_parity_on_a_grid(
     b = TimestampStream(np.sort(np.array(stops, dtype=float)) * unit, 2, duration)
     bin_width = bin_units * unit
     window = (n_bins + 0.5 * half_bin) * bin_width
-    with mock.patch.object(correlator_module, "PAIR_BATCH", pair_batch):
+    with mock.patch.multiple(correlator_module, PAIR_BATCH=pair_batch, WALK_STEPS=walk_steps):
         h = correlate(a, b, bin_width, window, chunk_size=chunk_size)
     assert np.array_equal(h.counts, brute_force_counts(a.times, b.times, bin_width, window))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_brute_force_parity_at_one_stop_per_start(monkeypatch, cpus):
+    # About one stop per window: every chunk walks, and the few starts with
+    # more stops than the walk's steps go on to the search.
+    rng = np.random.default_rng(808)
+    a = poisson_stream(rng, 20e3, 1.0, 1)
+    b = poisson_stream(rng, 20e3, 1.0, 2)
+    bin_width, window = 1e-6, 50e-6
+    monkeypatch.setattr(correlator_module, "_usable_cpus", lambda: cpus)
+    walk = correlator_module._walk
+    left = []  # starts still inside their window after each chunk's walk
+
+    def counted(*args):
+        s, lo = walk(*args)
+        left.append(s.size)
+        return s, lo
+
+    monkeypatch.setattr(correlator_module, "_walk", counted)
+    h = correlate(a, b, bin_width, window)
+    assert np.array_equal(h.counts, brute_force_counts(a.times, b.times, bin_width, window))
+    assert len(left) == -(-a.count // correlator_module.DEFAULT_CHUNK)
+    assert 0 < sum(left) < a.count // 20
 
 
 def test_correlate_validation():

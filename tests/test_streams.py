@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -155,6 +156,22 @@ def test_csv_roundtrip(tmp_path):
     path.write_text("timestamp_ps\n7\n9\n")
     back = read_timestamps_csv(path)
     assert (back.channel, back.duration, back.count) == (0, 9e-12, 2)
+
+
+def test_csv_errors_name_the_file_and_line(tmp_path):
+    # a header line without '=' and a value that is not an integer are a
+    # ValueError naming the file and the line
+    path = tmp_path / "bad.csv"
+    cases = [
+        ("# channel\ntimestamp_ps\n1000\n", "line 1: expected '# channel = <integer>'"),
+        ("timestamp_ps\n# duration_ps\n1000\n", "line 2: expected '# duration_ps = <integer>'"),
+        ("# channel = x\ntimestamp_ps\n1000\n", "line 1: invalid literal"),
+        ("timestamp_ps\n1000\n\n10 00\n", "line 4: invalid literal"),
+    ]
+    for text, where in cases:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {where}')}"):
+            read_timestamps_csv(path)
 
 
 def test_read_stream_dispatches(tmp_path):
