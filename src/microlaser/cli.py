@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -39,6 +40,11 @@ EXIT_IO = 4
 
 # Path CSV rows are formatted and written this many at a time.
 PATH_CSV_BLOCK = 65536
+# A stream file at least this large is read on a pool thread. What a thread
+# allocates below 32 MB, the most glibc's dynamic mmap threshold reaches, can
+# stay resident in its malloc arena; concurrent reads of 2.3 MB pipeline
+# streams raised the peak memory of repeated runs by about 6 MB.
+_POOL_READ_BYTES = 32 << 20
 
 
 @dataclass
@@ -174,6 +180,24 @@ def _load(config_path, quadrature_nodes: int):
     return cfg, dist
 
 
+def _read_pair(path1, path2):
+    """Both streams. A second stream of at least _POOL_READ_BYTES is read on a
+    pool thread while this one reads the first. The first stream's error
+    wins, as in a serial read."""
+    try:
+        large = os.stat(path2).st_size >= _POOL_READ_BYTES
+    except OSError:
+        large = False  # the serial read reports it, after the first stream's
+    if not large:
+        return read_stream(path1), read_stream(path2)
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as pool:
+        second = pool.submit(read_stream, path2)
+        first = read_stream(path1)
+        return first, second.result()
+
+
 def _fmt(value, precision=".10g") -> str:
     if value is None:
         return "nan"
@@ -284,8 +308,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_correlate_fit(args) -> int:
     t0 = time.perf_counter()
-    a = read_stream(args.stream1)
-    b = read_stream(args.stream2)
+    a, b = _read_pair(args.stream1, args.stream2)
     bin_width = args.bin_ns * 1e-9
     window = args.window_us * 1e-6
     cfg = None
@@ -357,8 +380,7 @@ def cmd_pipeline(args) -> int:
         stage = "correlate"
         # correlate the picosecond times as written, so that correlate-fit on
         # the same files gives the same histogram
-        stream1 = read_stream(out1)
-        stream2 = read_stream(out2)
+        stream1, stream2 = _read_pair(out1, out2)
         bin_width = args.bin_ns * 1e-9
         window = quantum.DEFAULT_TAU_SPAN_LIFETIMES / cfg.gamma_c
         if args.window_us is not None:

@@ -33,7 +33,12 @@ pool is started. If one share raises, or is interrupted, the other workers
 stop at their next chunk. Each share adds into its own int64 counts, and
 integer sums do not depend on order, so the histogram is the same for any
 number of workers. numpy releases the interpreter lock in its searches and
-in most of its passes over arrays, which is where the second core pays. A
+in most of its passes over arrays, which is where the second core pays. On
+32 k-element calls on a 2-core VM, two threads did 1.95x the work of one in
+``searchsorted``, about 1.7x in ``take``, 1.5-1.8x in arithmetic ufuncs and
+1.4-1.7x in ``astype``, but 1.15-1.23x in ``bincount`` and ``ufunc.at`` and
+0.92x in ``repeat``, which hold the lock. The pair batches of a dense chunk
+take two ``repeat`` calls and one ``bincount``, so dense streams gain least. A
 worker runs only private code and numpy, so a tracer that wraps the public
 functions sees one ``correlate`` span. The pair budget is per worker and
 small because each worker thread allocates from its own malloc arena, which

@@ -49,6 +49,9 @@ STATIONARY_RATE_TOL = 1e-12
 WEIGHT_RATIO_LIMIT = 0.5
 DEFAULT_TAU_POINTS = 200
 DEFAULT_TAU_SPAN_LIFETIMES = 5.0
+# exp(lambda tau) is evaluated only above this exponent; below it the term is
+# left at zero (see g2_regression)
+_EXP_CUT = -600.0
 
 
 @dataclass(frozen=True)
@@ -418,9 +421,19 @@ def g2_regression(
         - float(w0[~floor].sum())
     )
     plateau = excess / norm
+    # numpy's exp takes 70-110 ns for an exponent in (-745, -708), where the
+    # result is subnormal, against under 1 ns for a normal one, so exponents
+    # at or below _EXP_CUT are skipped and their terms left at zero. Each
+    # skipped term, a weight of order 1 or less times at most e^-600, is below
+    # 1e-250. It can change a partial sum of the product only while that sum
+    # is below 1e-234, and two sums that small become equal at the first
+    # addend above 1e-200; if none comes, the sum is lost in 1 + plateau (g2
+    # at infinity, about 1 or more). So no bit of a value moves.
+    decay = np.outer(taus, rates)
+    decay = np.exp(decay, out=np.zeros_like(decay), where=decay > _EXP_CUT)
     return G2Curve(
         tau=taus,
-        values=1.0 + plateau + np.exp(np.outer(taus, rates)) @ weights,
+        values=1.0 + plateau + decay @ weights,
         rates=rates,
         weights=weights,
         plateau=plateau,

@@ -17,7 +17,8 @@ import numpy as np
 
 MAGIC = b"MLTS1"
 PS_PER_SECOND = 1e12
-# events per read of an MLTS1 payload: the integer block stays in cache
+# events per read of an MLTS1 payload, and per order check of a stream: the
+# block stays in cache
 READ_BLOCK = 1 << 17
 
 
@@ -37,13 +38,16 @@ class TimestampStream:
         if not self.duration >= 0.0:
             raise ValueError(f"duration must be >= 0, got {self.duration}")
         if t.size:
-            unordered = t[1:] >= t[:-1]
-            np.logical_not(unordered, out=unordered)
-            if unordered.any():
-                raise ValueError(
-                    f"times must be nondecreasing and not NaN; violation at index "
-                    f"{np.argmax(unordered) + 1}"
-                )
+            # one READ_BLOCK of neighbours at a time: a full-length boolean
+            # built on a reader thread stays resident in its malloc arena
+            for lo in range(1, t.size, READ_BLOCK):
+                hi = min(lo + READ_BLOCK, t.size)
+                ordered = t[lo:hi] >= t[lo - 1 : hi - 1]
+                if not ordered.all():
+                    raise ValueError(
+                        f"times must be nondecreasing and not NaN; violation at index "
+                        f"{lo + np.argmin(ordered)}"
+                    )
             # ordered, so only the last time can be +inf
             if not (t[0] >= 0.0 and t[-1] <= self.duration and np.isfinite(t[-1])):
                 raise ValueError("times must be finite and lie within [0, duration]")

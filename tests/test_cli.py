@@ -7,6 +7,7 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -222,7 +223,6 @@ def test_simulate_deterministic_and_readable(tmp_path, scaled_cfg_file):
 
 
 def test_correlate_fit_times_the_reads_outside_the_hash(tmp_path, monkeypatch):
-    from microlaser import cli
     from microlaser.streams import TimestampStream, write_mlts1
 
     rng = np.random.default_rng(4)
@@ -239,16 +239,36 @@ def test_correlate_fit_times_the_reads_outside_the_hash(tmp_path, monkeypatch):
     assert main(argv) == 0
     quick = manifest()
     read_stream = cli.read_stream
+    reads, clock = [], []
 
     def slow_read(path):
+        start = time.perf_counter()
         time.sleep(0.1)
-        return read_stream(path)
+        stream = read_stream(path)
+        reads.append((start, time.perf_counter()))
+        return stream
+
+    def perf_counter():
+        clock.append(time.perf_counter())
+        return clock[-1]
 
     monkeypatch.setattr(cli, "read_stream", slow_read)
-    assert main(argv) == 0
-    slow = manifest()
-    assert float(slow["wall_clock_s"]) >= 0.2
-    assert slow["manifest_hash"] == quick["manifest_hash"]
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=perf_counter))
+    # files this small are read one after the other, larger ones at once
+    for pool_read_bytes, overlap in ((cli._POOL_READ_BYTES, False), (0, True)):
+        monkeypatch.setattr(cli, "_POOL_READ_BYTES", pool_read_bytes)
+        reads.clear()
+        clock.clear()
+        assert main(argv) == 0
+        slow = manifest()
+        # the command's clock reads open and close the timed span
+        t0, t1 = clock[0], clock[-1]
+        assert float(slow["wall_clock_s"]) == t1 - t0
+        assert len(reads) == 2
+        assert all(t0 <= start and end <= t1 for start, end in reads)
+        (start1, end1), (start2, end2) = reads
+        assert (max(start1, start2) < min(end1, end2)) == overlap
+        assert slow["manifest_hash"] == quick["manifest_hash"]
 
 
 def test_simulate_empty_for_zero_pump_cold_start(tmp_path):
@@ -569,6 +589,39 @@ def test_exit_code_csv_header_without_value(tmp_path):
     assert main(["correlate-fit", str(bad), str(bad), "--window-us", "1",
                  "--out", str(tmp_path / "x")]) == 3
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("pool_read_bytes", [0, None], ids=["at-once", "serial"])
+@pytest.mark.parametrize(
+    "first, second, code, named",
+    [("missing", "good", 4, "first"), ("good", "missing", 4, "second"),
+     ("good", "truncated", 3, "second"), ("bad_csv", "missing", 3, "first"),
+     ("missing", "bad_csv", 4, "first"), ("missing", "truncated", 4, "first"),
+     ("bad_csv", "truncated", 3, "first")],
+)
+def test_correlate_fit_reports_the_first_streams_error_first(
+    tmp_path, capsys, monkeypatch, first, second, code, named, pool_read_bytes
+):
+    # read at once or one after the other, the error is that of a serial read
+    from microlaser.streams import TimestampStream, write_mlts1
+
+    if pool_read_bytes is not None:
+        monkeypatch.setattr(cli, "_POOL_READ_BYTES", pool_read_bytes)
+
+    good = tmp_path / "good.mlts1"
+    write_mlts1(TimestampStream(np.linspace(0.0, 1e-3, 100), 1, 1e-3), good)
+    truncated = tmp_path / "truncated.mlts1"
+    truncated.write_bytes(good.read_bytes()[:-12])
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("# channel\ntimestamp_ps\n1000\n")
+    paths = {"good": good, "missing": tmp_path / "missing.mlts1", "truncated": truncated,
+             "bad_csv": bad_csv}
+    out = tmp_path / "x"
+    assert main(["correlate-fit", str(paths[first]), str(paths[second]), "--window-us", "1",
+                 "--out", str(out)]) == code
+    message = capsys.readouterr().err
+    assert str(paths[first] if named == "first" else paths[second]) in message
+    assert not out.exists()
 
 
 def test_exit_code_io_error(tmp_path, scaled_cfg_file):

@@ -671,3 +671,20 @@ def test_g2_c0_is_the_same_on_every_short_tau_grid(config_seed, span):
         for grid in (None, np.array([0.0]), np.linspace(0.0, tau_max, 7))
     }
     assert len(c0) == 1, c0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(config_seed=st.integers(0, 2**32 - 1))
+@example(config_seed=BISTABLE_SEED)
+def test_g2_curve_skipping_underflowing_terms_keeps_every_bit(config_seed):
+    cfg, dist = random_config(np.random.default_rng(config_seed))
+    p = steady_state(cfg, dist)
+    if p.mean <= 0.0:
+        return
+    far = np.geomspace(1e-3, 1e3, 300) / cfg.gamma_c  # far past 5 / Gamma_c
+    for grid in (None, np.linspace(0.0, 50.0 / cfg.gamma_c, 300), far):
+        curve = g2_regression(cfg, dist, tau_grid=grid, steady=p)
+        exponents = np.outer(curve.tau, curve.rates)
+        full = 1.0 + curve.plateau + np.exp(exponents) @ curve.weights
+        assert np.array_equal(curve.values, full)
+    assert (exponents <= quantum._EXP_CUT).any()  # the far grid skips terms

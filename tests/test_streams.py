@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from microlaser import streams
 from microlaser.streams import (
     READ_BLOCK,
     TimestampStream,
@@ -17,6 +18,34 @@ from microlaser.streams import (
 def test_stream_rejects_unsorted_with_index():
     with pytest.raises(ValueError, match="index 2"):
         TimestampStream(np.array([1e-6, 2e-6, 1.5e-6, 3e-6]), 1, 1.0)
+
+
+BLOCK = 4
+
+
+@pytest.mark.parametrize(
+    "where, bad",
+    [(BLOCK, "descent"), (BLOCK + 1, "descent"), (BLOCK, "nan"), (BLOCK + 1, "nan"),
+     (1, "descent"), (2 * BLOCK + 1, "nan"), (3 * BLOCK, "descent"), (0, "nan")],
+    ids=["last-of-block", "first-of-next", "nan-last-of-block", "nan-first-of-next",
+         "first", "nan-later-block", "last", "nan-at-zero"],
+)
+def test_stream_order_check_by_block_reports_the_whole_array_index(monkeypatch, where, bad):
+    # the check compares t[i] with t[i - 1] for i in blocks [1, 1 + BLOCK),
+    # [1 + BLOCK, 1 + 2 BLOCK), ...; the last element is at 3 BLOCK
+    monkeypatch.setattr(streams, "READ_BLOCK", BLOCK)
+    t = np.arange(3 * BLOCK + 1, dtype=float)
+    t[where] = np.nan if bad == "nan" else t[where] - 1.5
+    expected = np.argmax(~(t[1:] >= t[:-1])) + 1  # the whole-array check
+    with pytest.raises(ValueError, match=rf"violation at index {expected}$"):
+        TimestampStream(t, 1, 100.0)
+
+
+def test_stream_order_check_by_block_accepts_ordered_times(monkeypatch):
+    monkeypatch.setattr(streams, "READ_BLOCK", BLOCK)
+    for size in (1, BLOCK, BLOCK + 1, 2 * BLOCK + 2):
+        t = np.repeat(np.arange(size, dtype=float), 2)[:size]  # ties across edges
+        assert TimestampStream(t, 1, float(size)).count == size
 
 
 def test_stream_rejects_out_of_range():
