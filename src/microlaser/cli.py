@@ -5,8 +5,12 @@ Subcommands wire the theory, simulation, and analysis modules together:
     sweep          pump sweep (rate-equation branches + number-basis theory)
     predict-g2     theoretical g2(tau) curve with its spectral C0, tau_c, Q
     simulate       stochastic run producing two binary timestamp streams
-    correlate-fit  multi-start multi-stop histogram, g2, exponential fit
-    pipeline       simulate -> correlate -> fit -> compare against theory
+    correlate-fit  multi-start multi-stop g2 and its fit; vs theory with --config
+    pipeline       theory -> simulate -> correlate-fit on the streams it wrote
+
+Both analysis commands take one route, ``_correlate_fit``: two streams in, the
+g2 estimate, its fit and the report lines out, with the Q estimates and the
+theory comparison when a config is given; the same files get the same verdict.
 
 This module alone writes artifacts: it owns the CSV and report formats and
 the run record (``RunManifest``) written beside each output.
@@ -157,6 +161,37 @@ def _basis_entries(cfg, p, curve) -> list[tuple[str, object]]:
             ("g2_kept_states", curve.kept_states), ("g2_outflux_bound", curve.outflux_bound)]
 
 
+def _correlate_fit(a, b, bin_width, window, cfg=None, theory=None, symmetric=False,
+                   tail=False, exclude_bins=1):
+    """The g2 estimate of streams a and b, its exponential fit, and the report
+    entries: the fit, the measurement and, given ``theory`` (``_theory`` of
+    ``cfg``), the Q estimates and the comparison with that theory."""
+    if symmetric:
+        est = correlator.g2_symmetric(a, b, bin_width, window)
+    else:
+        hist = correlator.correlate(a, b, bin_width, window)
+        est = correlator.normalize(hist, mode="tail" if tail else "rates")
+    fit = correlator.fit_exponential(est, exclude_below=exclude_bins * bin_width)
+    shot_noise = (correlator.shot_noise_rms(est.rate1, est.rate2, bin_width, est.t_acq)
+                  if est.rate1 > 0 and est.rate2 > 0 else None)
+    measured = [("rate1_hz", est.rate1), ("rate2_hz", est.rate2), ("t_acq_s", est.t_acq),
+                ("bin_width_s", bin_width), ("window_s", window), ("shot_noise_rms", shot_noise)]
+    if theory is None:
+        return est, fit, _fit_entries(fit, None) + measured
+    p, curve, summary = theory
+    z_tau = None
+    if fit.tau_c is not None and fit.tau_c_sigma and summary.tau_c is not None:
+        z_tau = (fit.tau_c - summary.tau_c) / fit.tau_c_sigma
+    z_c0 = (fit.c0 - summary.c0) / fit.c0_sigma if fit.c0_sigma else None
+    compared = [
+        ("n_mean_theory", p.mean), ("q_theory_moments", p.mandel_q), ("q_theory_fit", summary.q),
+        ("tau_c_theory_s", summary.tau_c), ("c0_theory", summary.c0), ("z_tau_c", z_tau),
+        ("z_c0", z_c0), ("sign_match_c0", fit.c0 * summary.c0 > 0.0),
+    ]
+    q = correlator.estimate_q(fit, p.mean, cfg.gamma_c)
+    return est, fit, _fit_entries(fit, q) + measured + compared + _basis_entries(cfg, p, curve)
+
+
 def _parse_n_range(text: str) -> list[float]:
     """'a:b:step' inclusive range, or a single value."""
     parts = text.split(":")
@@ -209,8 +244,6 @@ def cmd_sweep(args) -> int:
     n_list = _parse_n_range(args.n_range)
     if args.direction == "down":
         n_list = list(reversed(n_list))
-    result = semiclassical.sweep(cfg, dist, n_list, args.direction)
-
     manifest = RunManifest(
         command="sweep",
         config_snapshot=cfg.to_dict(),
@@ -218,6 +251,7 @@ def cmd_sweep(args) -> int:
         outputs=[str(args.out)],
     )
     t0 = time.perf_counter()
+    result = semiclassical.sweep(cfg, dist, n_list, args.direction)
     rows = []
     for pt in result.points:
         n_q, q_q, tau_q = 0.0, None, None
@@ -309,37 +343,23 @@ def cmd_simulate(args) -> int:
 def cmd_correlate_fit(args) -> int:
     t0 = time.perf_counter()
     a, b = _read_pair(args.stream1, args.stream2)
-    bin_width = args.bin_ns * 1e-9
-    window = args.window_us * 1e-6
-    cfg = None
+    cfg = theory = None
     if args.config is not None:
         cfg, dist = _load(args.config, args.quadrature_nodes)
+        theory = _theory(cfg, dist)
     manifest = RunManifest(
         command="correlate-fit",
         config_snapshot=cfg.to_dict() if cfg is not None else {},
         inputs=[str(args.stream1), str(args.stream2)],
         outputs=[str(args.out)],
     )
-    if args.symmetric:
-        est = correlator.g2_symmetric(a, b, bin_width, window)
-    else:
-        hist = correlator.correlate(a, b, bin_width, window)
-        est = correlator.normalize(hist, mode="tail" if args.tail_normalize else "rates")
-    fit = correlator.fit_exponential(est, exclude_below=args.exclude_bins * bin_width)
-    q_est = None
-    shot_noise = None
-    if est.rate1 > 0 and est.rate2 > 0:
-        shot_noise = correlator.shot_noise_rms(est.rate1, est.rate2, bin_width, est.t_acq)
-    extra = [("rate1_hz", est.rate1), ("rate2_hz", est.rate2), ("t_acq_s", est.t_acq),
-             ("bin_width_s", bin_width), ("window_s", window), ("shot_noise_rms", shot_noise)]
-    if cfg is not None:
-        p = quantum.steady_state(cfg, dist)
-        if p.mean > 0.0:
-            q_est = correlator.estimate_q(fit, p.mean, cfg.gamma_c)
-            extra.append(("n_mean_theory", p.mean))
+    est, _, entries = _correlate_fit(
+        a, b, args.bin_ns * 1e-9, args.window_us * 1e-6, cfg, theory, symmetric=args.symmetric,
+        tail=args.tail_normalize, exclude_bins=args.exclude_bins,
+    )
     manifest.wall_clock_s = time.perf_counter() - t0
 
-    _write_report(args.out, manifest.entries(), _fit_entries(fit, q_est) + extra)
+    _write_report(args.out, manifest.entries(), entries)
     if args.g2_csv:
         _write_estimate(args.g2_csv, manifest.entries(), est)
     manifest.write(str(args.out) + ".manifest.txt")
@@ -362,13 +382,14 @@ def cmd_pipeline(args) -> int:
         seed=args.seed,
     )
     t0 = time.perf_counter()
+    window = (quantum.DEFAULT_TAU_SPAN_LIFETIMES / cfg.gamma_c if args.window_us is None
+              else args.window_us * 1e-6)
 
     stage = "theory"
     try:
-        solved = _theory(cfg, dist)
-        if solved is None:
+        theory = _theory(cfg, dist)
+        if theory is None:
             raise ConfigError("pipeline needs a nonempty steady state")
-        p, curve, theory = solved
 
         stage = "simulate"
         rec = trajectory.simulate(
@@ -377,55 +398,34 @@ def cmd_pipeline(args) -> int:
         write_mlts1(rec.stream1, out1)
         write_mlts1(rec.stream2, out2)
 
-        stage = "correlate"
-        # correlate the picosecond times as written, so that correlate-fit on
-        # the same files gives the same histogram
-        stream1, stream2 = _read_pair(out1, out2)
-        bin_width = args.bin_ns * 1e-9
-        window = quantum.DEFAULT_TAU_SPAN_LIFETIMES / cfg.gamma_c
-        if args.window_us is not None:
-            window = args.window_us * 1e-6
-        hist = correlator.correlate(stream1, stream2, bin_width, window)
-        est = correlator.normalize(hist)
-
-        stage = "fit"
-        fit = correlator.fit_exponential(est)
-        q_est = correlator.estimate_q(fit, p.mean, cfg.gamma_c)
+        stage = "correlate-fit"
+        # analyse the picosecond times as written, so that correlate-fit on the
+        # same files writes the same g2 rows and report lines
+        a, b = _read_pair(out1, out2)
+        est, fit, entries = _correlate_fit(a, b, args.bin_ns * 1e-9, window, cfg, theory)
     except Exception as exc:
         # keep the exception type (it drives the exit code), add the stage label
-        exc.args = (f"pipeline stage '{stage}': {exc}",)
+        label = f"pipeline stage '{stage}': {exc}"
+        if isinstance(exc, OSError):  # one with an errno prints errno, strerror, filename
+            raise type(exc)(label) from exc
+        exc.args = (label,)
         raise
-
-    z_tau = None
-    if fit.tau_c is not None and fit.tau_c_sigma and theory.tau_c is not None:
-        z_tau = (fit.tau_c - theory.tau_c) / fit.tau_c_sigma
-    z_c0 = (fit.c0 - theory.c0) / fit.c0_sigma if fit.c0_sigma else None
     manifest.wall_clock_s = time.perf_counter() - t0
 
-    extra = [
-        ("n_mean_theory", p.mean), ("q_theory_moments", p.mandel_q), ("q_theory_fit", theory.q),
-        ("tau_c_theory_s", theory.tau_c), ("c0_theory", theory.c0), ("z_tau_c", z_tau),
-        ("z_c0", z_c0), ("sign_match_c0", fit.c0 * theory.c0 > 0.0),
-        ("detections_ch1", rec.stream1.count), ("detections_ch2", rec.stream2.count),
-        ("duration_s", args.duration_s),
-    ] + _basis_entries(cfg, p, curve)
-    _write_report(report_path, manifest.entries(), _fit_entries(fit, q_est) + extra)
+    entries += [("detections_ch1", rec.stream1.count), ("detections_ch2", rec.stream2.count),
+                ("duration_s", args.duration_s)]
+    _write_report(report_path, manifest.entries(), entries)
     _write_estimate(g2_csv_path, manifest.entries(), est)
     manifest.write(out_dir / "manifest.txt")
-    theory_tau = (
-        f"theory tau_c {theory.tau_c:.4g} s"
-        if theory.tau_c is not None
-        else f"theory tau_c undefined (g2 weight ratio {theory.weight_ratio:.3g})"
-    )
-    fitted_tau = (
-        f"fitted {fit.tau_c:.4g} s"
-        if fit.tau_c is not None
-        else "fitted curve is flat (no resolvable decay)"
-    )
-    z_text = f"{z_tau:+.2f}" if z_tau is not None else "n/a"
+    summary, report = theory[2], dict(entries)
+    theory_tau = (f"theory tau_c {summary.tau_c:.4g} s" if summary.tau_c is not None
+                  else f"theory tau_c undefined (g2 weight ratio {summary.weight_ratio:.3g})")
+    fitted_tau = (f"fitted {fit.tau_c:.4g} s" if fit.tau_c is not None
+                  else "fitted curve is flat (no resolvable decay)")
+    z_text = "n/a" if report["z_tau_c"] is None else f"{report['z_tau_c']:+.2f}"
     print(
-        f"pipeline: {theory_tau} vs {fitted_tau} (z={z_text}), theory Q {theory.q:+.4g} vs "
-        f"Q_from_C0 {q_est.q_from_c0:+.4g}"
+        f"pipeline: {theory_tau} vs {fitted_tau} (z={z_text}), theory Q {summary.q:+.4g} vs "
+        f"Q_from_C0 {report['q_from_c0']:+.4g}"
     )
     return EXIT_OK
 

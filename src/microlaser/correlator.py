@@ -163,7 +163,6 @@ def correlate(
     b: TimestampStream,
     bin_width: float,
     window: float,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> CorrelationHistogram:
     """Histogram all (start, stop) delays in [0, window) from streams a, b.
 
@@ -177,8 +176,6 @@ def correlate(
         raise ValueError(f"window must be finite, got {window}")
     if window < bin_width:
         raise ValueError(f"window ({window}) must be >= bin_width ({bin_width})")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if a.duration != b.duration:
         raise ValueError(
             f"streams must share an acquisition duration, got {a.duration} and {b.duration}"
@@ -189,7 +186,7 @@ def correlate(
 
     n_bins = math.ceil(window / bin_width - 1e-9)
     reach = np.nextafter(n_bins * bin_width, np.inf)
-    n_chunks = -(-a.count // chunk_size)
+    n_chunks = -(-a.count // DEFAULT_CHUNK)
     n_workers = max(1, min(_usable_cpus(), n_chunks))
 
     # set when a share fails or is interrupted, so that the other workers stop
@@ -199,7 +196,7 @@ def correlate(
     def share(worker):
         try:
             return _correlate_share(
-                a.times, b.times, bin_width, n_bins, reach, chunk_size, worker, n_workers, stop
+                a.times, b.times, bin_width, n_bins, reach, DEFAULT_CHUNK, worker, n_workers, stop
             )
         except BaseException:
             stop.set()

@@ -271,6 +271,63 @@ def test_correlate_fit_times_the_reads_outside_the_hash(tmp_path, monkeypatch):
         assert slow["manifest_hash"] == quick["manifest_hash"]
 
 
+def test_sweep_times_the_rate_equation_sweep(tmp_path, scaled_cfg_file, monkeypatch):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", str(scaled_cfg_file), "--n-range", "0:2:1", "--out", str(out)]
+
+    def manifest():
+        lines = (tmp_path / "sweep.csv.manifest.txt").read_text().splitlines()
+        return dict(l.split(" = ", 1) for l in lines if " = " in l)
+
+    assert main(argv) == 0
+    quick = manifest()
+    sweep = cli.semiclassical.sweep
+    spans, clock = [], []
+
+    def slow_sweep(*args):
+        start = time.perf_counter()
+        time.sleep(0.1)
+        result = sweep(*args)
+        spans.append((start, time.perf_counter()))
+        return result
+
+    def perf_counter():
+        clock.append(time.perf_counter())
+        return clock[-1]
+
+    monkeypatch.setattr(cli.semiclassical, "sweep", slow_sweep)
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=perf_counter))
+    assert main(argv) == 0
+    slow = manifest()
+    t0, t1 = clock[0], clock[-1]
+    assert float(slow["wall_clock_s"]) == t1 - t0 >= 0.1
+    [(start, end)] = spans
+    assert t0 <= start and end <= t1
+    assert slow["manifest_hash"] == quick["manifest_hash"]
+
+
+def test_correlate_fit_with_an_empty_steady_state_writes_no_theory(tmp_path):
+    # a zero-pump config has no theory to compare with: the report is that of
+    # correlate-fit without --config
+    from microlaser.streams import TimestampStream, write_mlts1
+
+    rng = np.random.default_rng(5)
+    for channel in (1, 2):
+        times = np.sort(rng.uniform(0.0, 1e-3, 2_000))
+        write_mlts1(TimestampStream(times, channel, 1e-3), tmp_path / f"ch{channel}.mlts1")
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(SCALED_CFG.replace("n_atoms_mean = 4.2", "n_atoms_mean = 0"))
+    argv = ["correlate-fit", str(tmp_path / "ch1.mlts1"), str(tmp_path / "ch2.mlts1"),
+            "--window-us", "1"]
+    assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "zero.txt")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "plain.txt")]) == 0
+    lines = body_lines(tmp_path / "zero.txt")
+    assert lines == body_lines(tmp_path / "plain.txt")
+    keys = {l.split(" = ", 1)[0] for l in lines}
+    assert {"c0", "tau_c_s", "rate1_hz", "shot_noise_rms"} <= keys
+    assert not keys & {"q_from_c0", "n_mean_theory", "c0_theory", "z_c0", "n_basis_used"}
+
+
 def test_simulate_empty_for_zero_pump_cold_start(tmp_path):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text(SCALED_CFG.replace("n_atoms_mean = 4.2", "n_atoms_mean = 0"))
@@ -422,8 +479,9 @@ def test_pipeline_end_to_end(tmp_path, scaled_cfg_file, capsys):
 
 
 def test_pipeline_and_correlate_fit_agree_on_the_same_files(tmp_path, scaled_cfg_file):
-    # pipeline correlates the streams as it wrote them (integer picoseconds),
-    # so correlate-fit on its files reproduces its g2 and fit exactly
+    # pipeline analyses the streams as it wrote them (integer picoseconds) on
+    # correlate-fit's route, so correlate-fit --config on its files reproduces
+    # its g2 rows and every report line but pipeline's own run lines
     out_dir = tmp_path / "pipe"
     window_us = f"{5.0 / GAMMA_C * 1e6!r}"
     assert main(["pipeline", "--config", str(scaled_cfg_file),
@@ -432,17 +490,23 @@ def test_pipeline_and_correlate_fit_agree_on_the_same_files(tmp_path, scaled_cfg
     report = tmp_path / "fit.txt"
     g2_csv = tmp_path / "g2.csv"
     assert main(["correlate-fit", str(out_dir / "ch1.mlts1"), str(out_dir / "ch2.mlts1"),
-                 "--window-us", window_us, "--out", str(report),
-                 "--g2-csv", str(g2_csv)]) == 0
+                 "--window-us", window_us, "--config", str(scaled_cfg_file),
+                 "--out", str(report), "--g2-csv", str(g2_csv)]) == 0
     assert body_lines(g2_csv) == body_lines(out_dir / "g2.csv")
 
-    def fit_lines(path):
-        keys = ("c0", "tau_c_s", "chi2_reduced", "n_bins_used",
-                "cov_c0_c0", "cov_c0_tau", "cov_tau_tau")
-        return [l for l in body_lines(path) if l.split(" = ", 1)[0] in keys]
-
-    assert len(fit_lines(report)) == 7
-    assert fit_lines(report) == fit_lines(out_dir / "report.txt")
+    fit_lines, pipe_lines = body_lines(report), body_lines(out_dir / "report.txt")
+    keys = [l.split(" = ", 1)[0] for l in fit_lines]
+    assert keys == [
+        "c0", "tau_c_s", "chi2_reduced", "n_bins_used", "cov_c0_c0", "cov_c0_tau",
+        "cov_tau_tau", "q_from_c0", "q_from_tau", "q_discrepancy",
+        "rate1_hz", "rate2_hz", "t_acq_s", "bin_width_s", "window_s", "shot_noise_rms",
+        "n_mean_theory", "q_theory_moments", "q_theory_fit", "tau_c_theory_s", "c0_theory",
+        "z_tau_c", "z_c0", "sign_match_c0",
+        "n_basis_requested", "n_basis_used", "g2_kept_states", "g2_outflux_bound",
+    ]
+    assert pipe_lines[: len(fit_lines)] == fit_lines
+    assert [l.split(" = ", 1)[0] for l in pipe_lines[len(fit_lines):]] == [
+        "detections_ch1", "detections_ch2", "duration_s"]
 
 
 def test_correlate_fit_reads_timestamp_csv_like_mlts1(tmp_path):
@@ -553,6 +617,19 @@ def test_infinite_duration_is_a_numerical_error(tmp_path, scaled_cfg_file):
     assert main(["pipeline", "--config", str(scaled_cfg_file), "--duration-s", "inf",
                  "--out-dir", str(tmp_path / "p")]) == 3
     assert not list(tmp_path.glob("**/*.mlts1"))
+
+
+def test_pipeline_errors_name_their_stage(tmp_path, scaled_cfg_file, capsys):
+    # an OSError with an errno prints from errno, strerror and filename, so the
+    # label must reach that text too; each error keeps its exit code
+    out_dir = tmp_path / "p"
+    (out_dir / "ch1.mlts1").mkdir(parents=True)
+    for duration, code, text in (("0.002", 4, "I/O error: pipeline stage 'simulate': [Errno"),
+                                 ("inf", 3, "microlaser pipeline: pipeline stage 'simulate': ")):
+        assert main(["pipeline", "--config", str(scaled_cfg_file), "--duration-s", duration,
+                     "--out-dir", str(out_dir)]) == code
+        assert text in capsys.readouterr().err
+    assert not (out_dir / "report.txt").exists()
 
 
 def test_writers_render_each_value_type(tmp_path):

@@ -127,8 +127,10 @@ def test_internal_chunking_invariance():
     duration = 1.0
     a = TimestampStream(np.sort(rng.uniform(0, duration, 3000)), 1, duration)
     b = TimestampStream(np.sort(rng.uniform(0, duration, 3000)), 2, duration)
-    h1 = correlate(a, b, 1e-4, 1e-2, chunk_size=64)
-    h2 = correlate(a, b, 1e-4, 1e-2, chunk_size=1 << 20)
+    with mock.patch.object(correlator_module, "DEFAULT_CHUNK", 64):
+        h1 = correlate(a, b, 1e-4, 1e-2)
+    with mock.patch.object(correlator_module, "DEFAULT_CHUNK", 1 << 20):
+        h2 = correlate(a, b, 1e-4, 1e-2)
     assert np.array_equal(h1.counts, h2.counts)
 
 
@@ -157,11 +159,12 @@ def test_pair_budget_batching_invariance(monkeypatch):
         return share(*args)
 
     monkeypatch.setattr(mod, "_correlate_share", recorded)
+    monkeypatch.setattr(mod, "DEFAULT_CHUNK", 64)
     threads = threading.active_count()
     for cpus in (1, 3):
         monkeypatch.setattr(mod, "_usable_cpus", lambda: cpus)
         shares.clear()
-        split = correlate(a, b, 1e-4, 5e-2, chunk_size=64)
+        split = correlate(a, b, 1e-4, 5e-2)
         assert sorted(shares) == [(w, cpus) for w in range(cpus)]
         assert threading.active_count() == threads
         assert np.array_equal(whole.counts, split.counts)
@@ -227,8 +230,9 @@ def test_brute_force_parity_on_a_grid(
     b = TimestampStream(np.sort(np.array(stops, dtype=float)) * unit, 2, duration)
     bin_width = bin_units * unit
     window = (n_bins + 0.5 * half_bin) * bin_width
-    with mock.patch.multiple(correlator_module, PAIR_BATCH=pair_batch, WALK_STEPS=walk_steps):
-        h = correlate(a, b, bin_width, window, chunk_size=chunk_size)
+    with mock.patch.multiple(correlator_module, DEFAULT_CHUNK=chunk_size, PAIR_BATCH=pair_batch,
+                             WALK_STEPS=walk_steps):
+        h = correlate(a, b, bin_width, window)
     assert np.array_equal(h.counts, brute_force_counts(a.times, b.times, bin_width, window))
 
 
@@ -266,8 +270,6 @@ def test_correlate_validation():
         correlate(a, b, 0.0, 1e-6)
     with pytest.raises(ValueError):
         correlate(a, b, 1e-6, 1e-9)
-    with pytest.raises(ValueError, match="chunk_size"):
-        correlate(a, b, 1e-9, 1e-6, chunk_size=0)
     # non-finite sizes are named, not left to fail in the bin count
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="bin_width"):
@@ -328,9 +330,10 @@ def test_failing_share_stops_the_other_workers(monkeypatch, failing):
         return others[-1]
 
     monkeypatch.setattr(correlator_module, "_correlate_share", fail_or_wait)
+    monkeypatch.setattr(correlator_module, "DEFAULT_CHUNK", 64)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match=f"share {failing}"):
-        correlate(a, b, 1e-4, 5e-2, chunk_size=64)
+        correlate(a, b, 1e-4, 5e-2)
     assert len(others) == 1 and others[0].sum() == 0
     assert threading.active_count() == threads
 
