@@ -13,7 +13,10 @@ g2 estimate, its fit and the report lines out, with the Q estimates and the
 theory comparison when a config is given; the same files get the same verdict.
 
 This module alone writes artifacts: it owns the CSV and report formats and
-the run record (``RunManifest``) written beside each output.
+the run record (``RunManifest``) written beside each output. Each command
+builds its record from its parsed options with ``RunManifest.of`` and returns
+it with the record's path; ``main`` times the command, from its config load to
+its last artifact, and writes the record.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical/truncation error,
 4 I/O error.
@@ -27,7 +30,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,47 +56,54 @@ _POOL_READ_BYTES = 32 << 20
 
 @dataclass
 class RunManifest:
-    """Provenance record for one command invocation.
+    """Provenance record of one command line.
 
-    The hash covers everything that determines the outputs (command, config,
-    inputs, outputs, seed, version) and deliberately excludes the wall clock,
-    so a rerun with the same inputs reproduces the same hash.
+    It holds the command, the config snapshot, every parsed option (input and
+    output paths, seed and settings alike), the files the command wrote and
+    the version: everything that determines the outputs. The hash covers all
+    of these and deliberately excludes the wall clock, so a rerun of the same
+    command line reproduces the same hash and a changed option changes it.
     """
 
     command: str
     config_snapshot: dict
-    inputs: list[str] = field(default_factory=list)
-    outputs: list[str] = field(default_factory=list)
-    seed: int | None = None
+    options: dict
+    outputs: list[str]
     version: str = __version__
     wall_clock_s: float | None = None
+
+    @classmethod
+    def of(cls, args, cfg, outputs) -> RunManifest:
+        """The record of the parsed ``args`` run on ``cfg`` (None for no
+        config) that write the files ``outputs``."""
+        options = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+        snapshot = cfg.to_dict() if cfg is not None else {}
+        return cls(args.command, snapshot, options, [str(name) for name in outputs])
 
     def hash(self) -> str:
         h = hashlib.sha256()
         h.update(self.command.encode())
         for key, value in sorted(self.config_snapshot.items()):
             h.update(f"{key}={value!r};".encode())
-        for name in self.inputs:
-            h.update(f"in:{name};".encode())
+        for key, value in sorted(self.options.items()):
+            h.update(f"option.{key}={value!r};".encode())
         for name in self.outputs:
             h.update(f"out:{name};".encode())
-        h.update(f"seed={self.seed};version={self.version}".encode())
+        h.update(f"version={self.version}".encode())
         return h.hexdigest()
 
     def entries(self) -> list[tuple[str, object]]:
         """(key, value) pairs that head every artifact of the run."""
         entries = [("manifest_hash", self.hash()), ("command", self.command),
                    ("version", self.version)]
-        if self.seed is not None:
-            entries.append(("seed", self.seed))
+        if "seed" in self.options:
+            entries.append(("seed", self.options["seed"]))
         return entries + [(f"config.{k}", v) for k, v in self.config_snapshot.items()]
 
     def write(self, path) -> None:
-        entries = self.entries() + [("input", name) for name in self.inputs]
+        entries = self.entries() + [(f"option.{k}", v) for k, v in self.options.items()]
         entries += [("output", name) for name in self.outputs]
-        if self.wall_clock_s is not None:
-            entries.append(("wall_clock_s", self.wall_clock_s))
-        _write_report(path, (), entries)
+        _write_report(path, (), entries + [("wall_clock_s", self.wall_clock_s)])
 
 
 def _render(value) -> str:
@@ -239,18 +249,12 @@ def _fmt(value, precision=".10g") -> str:
     return format(value, precision)
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     cfg, dist = _load(args.config, args.quadrature_nodes)
     n_list = _parse_n_range(args.n_range)
     if args.direction == "down":
         n_list = list(reversed(n_list))
-    manifest = RunManifest(
-        command="sweep",
-        config_snapshot=cfg.to_dict(),
-        inputs=[str(args.config)],
-        outputs=[str(args.out)],
-    )
-    t0 = time.perf_counter()
+    manifest = RunManifest.of(args, cfg, [args.out])
     result = semiclassical.sweep(cfg, dist, n_list, args.direction)
     rows = []
     for pt in result.points:
@@ -265,7 +269,6 @@ def cmd_sweep(args) -> int:
             f"{pt.n_atoms_mean:.10g},{_fmt(n0)},{_fmt(n_q)},{_fmt(q_q)},"
             f"{_fmt(tau_q)},{_fmt(tau_sc)}\n"
         )
-    manifest.wall_clock_s = time.perf_counter() - t0
 
     _write_table(
         args.out,
@@ -273,25 +276,17 @@ def cmd_sweep(args) -> int:
         "N_mean,n0_selected,n_mean_quantum,Q_quantum,tau_c_quantum_s,tau_c_semiclassical_s",
         rows,
     )
-    manifest.write(str(args.out) + ".manifest.txt")
-    return EXIT_OK
+    return manifest, f"{args.out}.manifest.txt"
 
 
-def cmd_predict_g2(args) -> int:
+def cmd_predict_g2(args):
     cfg, dist = _load(args.config, args.quadrature_nodes)
-    manifest = RunManifest(
-        command="predict-g2",
-        config_snapshot=cfg.to_dict(),
-        inputs=[str(args.config)],
-        outputs=[str(args.out)],
-    )
-    t0 = time.perf_counter()
     theory = _theory(cfg, dist)
     if theory is None:
         raise ConfigError("predict-g2 needs a nonempty steady state (n_atoms_mean > 0)")
     p, curve, summary = theory
-    manifest.wall_clock_s = time.perf_counter() - t0
 
+    manifest = RunManifest.of(args, cfg, [args.out])
     header = manifest.entries() + [
         ("n_mean", p.mean), ("mandel_q_moments", p.mandel_q), ("c0", summary.c0),
         ("tau_c_s", summary.tau_c), ("q_from_fit", summary.q), ("plateau", summary.plateau),
@@ -299,28 +294,16 @@ def cmd_predict_g2(args) -> int:
     ] + _basis_entries(cfg, p, curve)
     rows = (f"{t:.17g},{v:.17g}\n" for t, v in zip(curve.tau, curve.values))
     _write_table(args.out, header, "tau_seconds,g2", rows)
-    manifest.write(str(args.out) + ".manifest.txt")
-    return EXIT_OK
+    return manifest, f"{args.out}.manifest.txt"
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     cfg, dist = _load(args.config, args.quadrature_nodes)
-    out1 = f"{args.out_prefix}.ch1.mlts1"
-    out2 = f"{args.out_prefix}.ch2.mlts1"
-    outputs = [out1, out2]
-    if args.path_csv:
-        outputs.append(f"{args.out_prefix}.path.csv")
-    manifest = RunManifest(
-        command="simulate",
-        config_snapshot=cfg.to_dict(),
-        inputs=[str(args.config)],
-        outputs=outputs,
-        seed=args.seed,
-    )
-    t0 = time.perf_counter()
+    out1, out2, path_csv = (f"{args.out_prefix}.{name}"
+                            for name in ("ch1.mlts1", "ch2.mlts1", "path.csv"))
+    manifest = RunManifest.of(args, cfg, [out1, out2] + ([path_csv] if args.path_csv else []))
     rec = trajectory.simulate(cfg, dist, duration=args.duration_s, seed=args.seed,
                               initial_n=args.cold_start, record_path=args.path_csv)
-    manifest.wall_clock_s = time.perf_counter() - t0
 
     write_mlts1(rec.stream1, out1)
     write_mlts1(rec.stream2, out2)
@@ -330,43 +313,34 @@ def cmd_simulate(args) -> int:
                         rec.path_values[i : i + PATH_CSV_BLOCK].tolist()))
             for i in range(0, rec.path_times.size, PATH_CSV_BLOCK)
         )
-        _write_table(outputs[2], manifest.entries(), "time_s,n", blocks)
-    manifest.write(f"{args.out_prefix}.manifest.txt")
+        _write_table(path_csv, manifest.entries(), "time_s,n", blocks)
     print(
         f"simulate: duration {rec.duration:g} s, atoms {rec.atoms_injected}, "
         f"emissions {rec.emissions}, decays {rec.decays}, detections {rec.detections} "
         f"(ch1 {rec.stream1.count}, ch2 {rec.stream2.count})"
     )
-    return EXIT_OK
+    return manifest, f"{args.out_prefix}.manifest.txt"
 
 
-def cmd_correlate_fit(args) -> int:
-    t0 = time.perf_counter()
+def cmd_correlate_fit(args):
     a, b = _read_pair(args.stream1, args.stream2)
     cfg = theory = None
     if args.config is not None:
         cfg, dist = _load(args.config, args.quadrature_nodes)
         theory = _theory(cfg, dist)
-    manifest = RunManifest(
-        command="correlate-fit",
-        config_snapshot=cfg.to_dict() if cfg is not None else {},
-        inputs=[str(args.stream1), str(args.stream2)],
-        outputs=[str(args.out)],
-    )
     est, _, entries = _correlate_fit(
         a, b, args.bin_ns * 1e-9, args.window_us * 1e-6, cfg, theory, symmetric=args.symmetric,
         tail=args.tail_normalize, exclude_bins=args.exclude_bins,
     )
-    manifest.wall_clock_s = time.perf_counter() - t0
 
+    manifest = RunManifest.of(args, cfg, [name for name in (args.out, args.g2_csv) if name])
     _write_report(args.out, manifest.entries(), entries)
     if args.g2_csv:
         _write_estimate(args.g2_csv, manifest.entries(), est)
-    manifest.write(str(args.out) + ".manifest.txt")
-    return EXIT_OK
+    return manifest, f"{args.out}.manifest.txt"
 
 
-def cmd_pipeline(args) -> int:
+def cmd_pipeline(args):
     cfg, dist = _load(args.config, args.quadrature_nodes)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -374,14 +348,7 @@ def cmd_pipeline(args) -> int:
     out2 = out_dir / "ch2.mlts1"
     g2_csv_path = out_dir / "g2.csv"
     report_path = out_dir / "report.txt"
-    manifest = RunManifest(
-        command="pipeline",
-        config_snapshot=cfg.to_dict(),
-        inputs=[str(args.config)],
-        outputs=[str(out1), str(out2), str(g2_csv_path), str(report_path)],
-        seed=args.seed,
-    )
-    t0 = time.perf_counter()
+    manifest = RunManifest.of(args, cfg, [out1, out2, g2_csv_path, report_path])
     window = (quantum.DEFAULT_TAU_SPAN_LIFETIMES / cfg.gamma_c if args.window_us is None
               else args.window_us * 1e-6)
 
@@ -410,13 +377,11 @@ def cmd_pipeline(args) -> int:
             raise type(exc)(label) from exc
         exc.args = (label,)
         raise
-    manifest.wall_clock_s = time.perf_counter() - t0
 
     entries += [("detections_ch1", rec.stream1.count), ("detections_ch2", rec.stream2.count),
                 ("duration_s", args.duration_s)]
     _write_report(report_path, manifest.entries(), entries)
     _write_estimate(g2_csv_path, manifest.entries(), est)
-    manifest.write(out_dir / "manifest.txt")
     summary, report = theory[2], dict(entries)
     theory_tau = (f"theory tau_c {summary.tau_c:.4g} s" if summary.tau_c is not None
                   else f"theory tau_c undefined (g2 weight ratio {summary.weight_ratio:.3g})")
@@ -427,7 +392,7 @@ def cmd_pipeline(args) -> int:
         f"pipeline: {theory_tau} vs {fitted_tau} (z={z_text}), theory Q {summary.q:+.4g} vs "
         f"Q_from_C0 {report['q_from_c0']:+.4g}"
     )
-    return EXIT_OK
+    return manifest, out_dir / "manifest.txt"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -520,7 +485,12 @@ def main(argv=None) -> int:
                 raise ConfigError(
                     f"--{flag.replace('_', '-')} must be positive and finite, got {value}"
                 )
-        return args.func(args)
+        # one clock per command line, from its config load to its last artifact
+        t0 = time.perf_counter()
+        manifest, manifest_path = args.func(args)
+        manifest.wall_clock_s = time.perf_counter() - t0
+        manifest.write(manifest_path)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"microlaser {args.command}: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

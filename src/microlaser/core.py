@@ -118,6 +118,17 @@ def injection_rate(cfg: MicrolaserConfig) -> float:
     return cfg.n_atoms_mean / interaction_time(cfg.v0, cfg.mode_waist)
 
 
+def photon_bound(cfg: MicrolaserConfig) -> float:
+    """1.1 * (r / Gamma_c) + 10: the photon number that the rate-equation root
+    scan and the number basis reach to.
+
+    The gain r * beta_bar never exceeds r, so every rate-equation root obeys
+    n <= r / Gamma_c, and past that n each step up multiplies P_n by
+    r beta_bar / (Gamma_c n) < 1.
+    """
+    return 1.1 * injection_rate(cfg) / cfg.gamma_c + 10.0
+
+
 @dataclass(frozen=True)
 class VelocityDistribution:
     """Atomic speed distribution reduced to a fixed quadrature rule.

@@ -196,7 +196,7 @@ def correlate(
     def share(worker):
         try:
             return _correlate_share(
-                a.times, b.times, bin_width, n_bins, reach, DEFAULT_CHUNK, worker, n_workers, stop
+                a.times, b.times, bin_width, n_bins, reach, worker, n_workers, stop
             )
         except BaseException:
             stop.set()
@@ -246,17 +246,18 @@ def _quota_cpus(text: str) -> int | None:
     return -(-quota // period) if quota > 0 and period > 0 else None
 
 
-def _correlate_share(starts, stops, bin_width, n_bins, reach, chunk_size, worker, n_workers, stop):
-    """Counts of chunks worker, worker + n_workers, ... of the starts.
+def _correlate_share(starts, stops, bin_width, n_bins, reach, worker, n_workers, stop):
+    """Counts of chunks worker, worker + n_workers, ... of ``DEFAULT_CHUNK``
+    starts each.
 
     Returns early, with partial counts, once ``stop`` is set.
     """
     # bin n_bins collects the delays past the last bin and is cut off at the end
     counts = np.zeros(n_bins + 1, dtype=np.int64)
-    for begin in range(worker * chunk_size, starts.size, n_workers * chunk_size):
+    for begin in range(worker * DEFAULT_CHUNK, starts.size, n_workers * DEFAULT_CHUNK):
         if stop.is_set():
             break
-        s = starts[begin : begin + chunk_size]
+        s = starts[begin : begin + DEFAULT_CHUNK]
         # only stops in [s[0], s[-1] + reach] can pair with this chunk
         j0 = np.searchsorted(stops, s[0], side="left")
         j1 = np.searchsorted(stops, s[-1] + reach, side="right")

@@ -29,6 +29,7 @@ from .core import (
     VelocityDistribution,
     averaged_beta_table,
     injection_rate,
+    photon_bound,
 )
 from .errors import TruncationError
 
@@ -103,15 +104,14 @@ class PhotonDistribution:
 
 
 def default_n_max(cfg: MicrolaserConfig) -> int:
-    """Truncation policy: 1.1 * (r / Gamma_c) + 10, clamped to [32, 8192].
+    """Truncation policy: ``photon_bound`` (1.1 * (r / Gamma_c) + 10), rounded
+    up and clamped to [32, 8192].
 
-    The gain r * beta_bar never exceeds r, so past n = r / Gamma_c each step
-    up multiplies P_n by r beta_bar / (Gamma_c n) < 1: the steady state lives
-    below r / Gamma_c and its tail falls off beyond. ``steady_state`` checks
-    that tail and doubles the basis once where this margin is too small.
+    The steady state lives below r / Gamma_c and its tail falls off beyond.
+    ``steady_state`` checks that tail and doubles the basis once where this
+    margin is too small.
     """
-    r = injection_rate(cfg)
-    return int(min(N_MAX_CAP, max(N_MAX_FLOOR, math.ceil(1.1 * r / cfg.gamma_c + 10.0))))
+    return int(min(N_MAX_CAP, max(N_MAX_FLOOR, math.ceil(photon_bound(cfg)))))
 
 
 def effective_n_max(cfg: MicrolaserConfig) -> int:

@@ -26,6 +26,7 @@ from .core import (
     averaged_beta,
     injection_rate,
     interaction_time,
+    photon_bound,
 )
 from .errors import NoFixedPointError
 
@@ -90,8 +91,7 @@ def _classify(n0: float, cfg, dist) -> FixedPoint:
 def _scan_max(cfg: MicrolaserConfig, n_scan_max: float | None) -> float:
     """The upper end of the root scan, checked before any beta-bar is computed."""
     if n_scan_max is None:
-        # G <= r implies every root obeys n <= r / Gamma_c.
-        n_scan_max = 1.1 * injection_rate(cfg) / cfg.gamma_c + 10.0
+        n_scan_max = photon_bound(cfg)
         if not math.isfinite(n_scan_max):
             raise ValueError(f"n_atoms_mean must be finite, got {cfg.n_atoms_mean}")
     elif not math.isfinite(n_scan_max):

@@ -306,6 +306,74 @@ def test_sweep_times_the_rate_equation_sweep(tmp_path, scaled_cfg_file, monkeypa
     assert slow["manifest_hash"] == quick["manifest_hash"]
 
 
+def _command_line(command, inputs, out):
+    """argv of ``command`` writing into the directory ``out`` (correlate-fit
+    reads the streams in ``inputs``), and the path of its run record."""
+    if command == "sweep":
+        return ["sweep", "--config", str(CONFIGS / "scaled.cfg"), "--n-range", "1:5:2",
+                "--out", str(out / "sweep.csv")], out / "sweep.csv.manifest.txt"
+    if command == "predict-g2":
+        return ["predict-g2", "--config", str(CONFIGS / "published.cfg"),
+                "--out", str(out / "g2.csv")], out / "g2.csv.manifest.txt"
+    if command == "simulate":
+        return ["simulate", "--config", str(CONFIGS / "scaled.cfg"), "--path-csv",
+                "--out-prefix", str(out / "sim")], out / "sim.manifest.txt"
+    if command == "pipeline":
+        return ["pipeline", "--config", str(CONFIGS / "scaled.cfg"), "--duration-s", "0.002",
+                "--out-dir", str(out)], out / "manifest.txt"
+    return ["correlate-fit", str(inputs / "ch1.mlts1"), str(inputs / "ch2.mlts1"),
+            "--window-us", "1", "--g2-csv", str(out / "g2.csv"),
+            "--out", str(out / "fit.txt")], out / "fit.txt.manifest.txt"
+
+
+@pytest.mark.parametrize("command, first, second", [
+    ("correlate-fit", ["--bin-ns", "20"], ["--bin-ns", "10"]),
+    ("correlate-fit", [], ["--symmetric"]),
+    ("predict-g2", ["--quadrature-nodes", "64"], ["--quadrature-nodes", "16"]),
+    ("simulate", ["--duration-s", "0.002"], ["--duration-s", "0.003"]),
+    ("pipeline", ["--window-us", "5.3"], ["--window-us", "4.0"]),
+    ("sweep", ["--direction", "up"], ["--direction", "down"]),
+])
+def test_run_record_lists_and_hashes_every_option(tmp_path, command, first, second):
+    from microlaser.streams import TimestampStream, write_mlts1
+
+    rng = np.random.default_rng(6)
+    for channel in (1, 2):
+        times = np.sort(rng.uniform(0.0, 1e-3, 2_000))
+        write_mlts1(TimestampStream(times, channel, 1e-3), tmp_path / f"ch{channel}.mlts1")
+    out = tmp_path / "out"
+    out.mkdir()
+    argv, record_path = _command_line(command, tmp_path, out)
+    hashes = []
+    for options in (first, second):
+        # both command lines write the same paths
+        assert main(argv + options) == 0
+        lines = record_path.read_text().splitlines()
+        record = [tuple(l.split(" = ", 1)) for l in lines]
+        parsed = vars(cli.build_parser().parse_args(argv + options))
+        expected = {k: cli._render(v) for k, v in parsed.items() if k not in ("command", "func")}
+        assert {k[len("option."):]: v for k, v in record if k.startswith("option.")} == expected
+        # the record lists every file the command wrote
+        outputs = [Path(v) for k, v in record if k == "output"]
+        assert sorted(outputs + [record_path]) == sorted(out.iterdir())
+        hashes.append(dict(record)["manifest_hash"])
+    assert hashes[0] != hashes[1]
+
+
+def test_run_clock_spans_the_artifact_writes(tmp_path, scaled_cfg_file, monkeypatch):
+    write_table = cli._write_table
+
+    def slow_write(*args):
+        time.sleep(0.1)
+        write_table(*args)
+
+    monkeypatch.setattr(cli, "_write_table", slow_write)
+    out = tmp_path / "g2.csv"
+    assert main(["predict-g2", "--config", str(scaled_cfg_file), "--out", str(out)]) == 0
+    lines = (tmp_path / "g2.csv.manifest.txt").read_text().splitlines()
+    assert float(dict(l.split(" = ", 1) for l in lines)["wall_clock_s"]) >= 0.1
+
+
 def test_correlate_fit_with_an_empty_steady_state_writes_no_theory(tmp_path):
     # a zero-pump config has no theory to compare with: the report is that of
     # correlate-fit without --config
