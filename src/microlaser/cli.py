@@ -340,8 +340,17 @@ def cmd_correlate_fit(args):
     return manifest, f"{args.out}.manifest.txt"
 
 
+def _check_window(window: float, bin_ns: float) -> None:
+    """Refuse a correlation window (s) that holds no bin of ``bin_ns``."""
+    if window < bin_ns * 1e-9:
+        raise ConfigError(f"window {window:g} s is shorter than one bin of {bin_ns:g} ns")
+
+
 def cmd_pipeline(args):
     cfg, dist = _load(args.config, args.quadrature_nodes)
+    window = (quantum.DEFAULT_TAU_SPAN_LIFETIMES / cfg.gamma_c if args.window_us is None
+              else args.window_us * 1e-6)
+    _check_window(window, args.bin_ns)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out1 = out_dir / "ch1.mlts1"
@@ -349,8 +358,6 @@ def cmd_pipeline(args):
     g2_csv_path = out_dir / "g2.csv"
     report_path = out_dir / "report.txt"
     manifest = RunManifest.of(args, cfg, [out1, out2, g2_csv_path, report_path])
-    window = (quantum.DEFAULT_TAU_SPAN_LIFETIMES / cfg.gamma_c if args.window_us is None
-              else args.window_us * 1e-6)
 
     stage = "theory"
     try:
@@ -485,6 +492,8 @@ def main(argv=None) -> int:
                 raise ConfigError(
                     f"--{flag.replace('_', '-')} must be positive and finite, got {value}"
                 )
+        if getattr(args, "window_us", None) is not None:
+            _check_window(args.window_us * 1e-6, args.bin_ns)
         # one clock per command line, from its config load to its last artifact
         t0 = time.perf_counter()
         manifest, manifest_path = args.func(args)

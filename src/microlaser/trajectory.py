@@ -8,15 +8,27 @@ of rate r * beta_bar_{n+1}, so the chain steps up at that rate and down at
 Gamma_c * n. Waiting times are sampled exactly (no tau-leaping), with the
 random numbers drawn in fixed blocks. As in Gillespie's direct method
 (J. Phys. Chem. 81, 2340 (1977)) the embedded jump chain decides the states
-and the holding times are drawn separately, so the two are split: one list
-comprehension walks the states, a few thousand uniforms at a time, and numpy
-then clocks those steps as a running sum of exponential holding times and
-cuts them at the end of the run (or raises if the chain reached the basis
-truncation before it). A chunk keeps only what the record reports: the times
-of its decays, its jump count, and the time spent in each state, added step
-by step to one occupancy vector. Every jump's time and state are kept only
-when the photon-number path is asked for. Each decay is then a detection
-with the configured efficiency and routed to one of two detector channels.
+and the holding times are drawn separately, so the two are split. The
+states are walked first, one step per uniform, and numpy then clocks those
+steps as a running sum of exponential holding times and cuts them at the end
+of the run (or raises if the chain reached the basis truncation before it).
+A list comprehension walks the first block of uniforms, a few thousand at a
+time. A later block is walked in lanes where the chain forgets its start
+within a short warm-up, one numpy step per step index for all lanes at once.
+This is the monotone coupling behind Propp and Wilson's coupling from the
+past (Random Struct. Algorithms 9, 223 (1996)): two paths on the same
+uniforms, started at either end of the band of states held in the block
+before, meet, and then every start in between has met them. So a lane whose
+two paths meet before it begins holds the chain's own states, once the
+chain's state at the warm-up start, read off an earlier lane, lies in the
+band. Every other lane, and every block where the chain mixes slowly (as at
+the published point), keeps the list comprehension, and the states are those
+of the one-step walk bit for bit. A chunk keeps only what the record reports:
+the times of its decays, its jump count, and the time spent in each state,
+added step by step to one occupancy vector. Every jump's time and state are
+kept only when the photon-number path is asked for. Each decay is then a
+detection with the configured efficiency and routed to one of two detector
+channels.
 The atoms that pass without emitting are the complementary thinning, a
 Poisson count with mean equal to the integral of r * (1 - beta_bar_{n(t)+1})
 over the run, so ``atoms_injected`` keeps the Poisson(r T) law of the arrivals.
@@ -39,6 +51,12 @@ DEFAULT_BURN_IN_LIFETIMES = 20.0
 RANDOM_BLOCK = 65536
 # The chain is walked this many steps at a time, then clocked with numpy.
 WALK_CHUNK = 8192
+# A block walked in lanes takes LANE steps per lane, each lane warmed up from
+# WARM steps before it (both even). Lanes are tried only where WARM times the
+# drop of p_up across the state held longest in the block before reaches MIXING.
+LANE = 128
+WARM = 128
+MIXING = 4.0
 
 
 @dataclass(frozen=True)
@@ -78,8 +96,9 @@ def simulate(
     (seed, config, duration) reproduce identical output.
 
     Memory grows with the decays, not with the jumps: a run holds 8 bytes
-    per decay while it walks, and its traced peak, both streams included, is
-    about 11 bytes per jump (21 per decay) on the scaled config.
+    per decay while it walks, plus the states of one block of RANDOM_BLOCK
+    steps (512 kB) where it walks in lanes. Its traced peak, both streams
+    included, is about 11 bytes per jump (22 per decay) on the scaled config.
     ``record_path=True`` also keeps each jump's time (float64) and state
     (int64), for a peak of about 28 bytes per jump.
     """
@@ -129,19 +148,27 @@ def simulate(
     times = array("d", [0.0]) if record_path else None
     values = array("q", [n]) if record_path else None
     lo = RANDOM_BLOCK
+    seen = None
     while True:
         if lo >= RANDOM_BLOCK:
             exps = rng.standard_exponential(RANDOM_BLOCK)
             unis = rng.random(RANDOM_BLOCK)
             lo = 0
+            block = None
+            if seen is not None:
+                # The previous block's share of the occupancy: the lowest and
+                # highest state it held bound the band, and the drop of p_up
+                # across the state it held longest says how fast paths meet.
+                held = occupancy - seen
+                m = int(held.argmax())
+                if held[m] > 0.0 and WARM * (p_up[m - 1] - p_up[m + 1]) >= MIXING:
+                    visited = np.flatnonzero(held)
+                    block = _walk_lanes(unis, n, p_up, int(visited[0]), int(visited[-1]))
+            seen = occupancy.copy()
         hi = lo + WALK_CHUNK
         start = n
-        # The embedded jump chain alone: the states after each step. The
-        # memoryview hands out the uniforms as floats without building a list.
-        after = np.frombuffer(
-            array("q", [n := n + 1 if u < p_up[n] else n - 1 for u in memoryview(unis[lo:hi])]),
-            dtype=np.int64,
-        )
+        after = block[lo:hi] if block is not None else _walk_steps(unis[lo:hi], n, p_up)
+        n = int(after[-1])
         before = np.concatenate(([start], after[:-1]))
         # The clock: event times as one running sum from t.
         with np.errstate(invalid="ignore"):  # inf * 0 = nan ends the run too
@@ -211,6 +238,95 @@ def simulate(
         decays=decays,
         detections=detections,
     )
+
+
+def _walk_steps(unis: np.ndarray, n: int, p_up: list) -> np.ndarray:
+    """The embedded jump chain from ``n``, one step per uniform: the states after each step.
+
+    The memoryview hands out the uniforms as floats without building a list.
+    """
+    return np.frombuffer(
+        array("q", [n := n + 1 if u < p_up[n] else n - 1 for u in memoryview(unis)]),
+        dtype=np.int64,
+    )
+
+
+def _walk_lanes(unis: np.ndarray, n: int, p_up: list, low: int, high: int) -> np.ndarray:
+    """The states of ``_walk_steps(unis, n, p_up)``, walked as lanes of LANE steps.
+
+    All paths share the uniforms, and two paths of one parity keep their order:
+    for n < n' both even or both odd, f(n) <= n + 1 <= n' - 1 <= f(n'). Every
+    lane that starts at least WARM steps into ``unis`` is also walked from
+    WARM steps before it, twice: from the lowest and from the highest state in
+    [low, high] of the chain's parity there. These lanes take one numpy step
+    per step index. If the two paths have met when the lane begins, so has
+    every path between them, and the lane holds the chain's own states
+    provided the chain was in the band when the warm-up began; that state is
+    read off an earlier lane. The other lanes are walked by ``_walk_steps``,
+    in order. ``unis.size`` is a multiple of LANE.
+    """
+    lanes = unis.size // LANE
+    first = min(-(-WARM // LANE), lanes)
+    out = np.empty(unis.size, dtype=np.int64)
+    grid = out.reshape(lanes, LANE)
+    grid[:first] = _walk_steps(unis[: first * LANE], n, p_up).reshape(first, LANE)
+    # The chain's parity at every warm-up start is that of n, as LANE and WARM
+    # are even; the sentinels bound the states to [-1, n_basis + 1].
+    low = max(low, -1)
+    low += (low - n) & 1
+    high = min(high, len(p_up) - 2)
+    high -= (high - n) & 1
+    met = np.zeros(lanes - first, dtype=bool)
+    bad = np.arange(lanes) >= first
+    if met.size and low <= high:
+        # After k steps a path keeps c = (state + k + off) / 2, which grows by
+        # one per step up. table[pad + 1 + s] is p_up[s], so p_up[state] is
+        # table[d + 2 c] with d = pad + 1 - off - k: element c of a slice of
+        # the half of the table of d's parity. No index leaves the table, so
+        # mode="clip" only skips the bounds check.
+        steps = WARM + LANE
+        off = 2 - (n & 1)
+        pad = steps + 1
+        table = np.concatenate((np.zeros(pad), [p_up[-1]], p_up[:-1]))
+        halves = (table[0::2].copy(), table[1::2].copy())
+        rows = np.lib.stride_tricks.sliding_window_view(unis, steps)[first * LANE - WARM :: LANE]
+        count = np.array([[(low + off) // 2], [(high + off) // 2]]).repeat(rows.shape[0], axis=1)
+        p = np.empty(count.shape)
+        up = np.empty(count.shape, dtype=bool)
+        for k in range(WARM):
+            d = pad + 1 - off - k
+            halves[d & 1][d >> 1 :].take(count, out=p, mode="clip")
+            np.less(rows[:, k], p, out=up)
+            count += up
+        met = count[0] == count[1]
+        # The lower path goes on through the lane, its counters kept in place.
+        lane = grid[first:]
+        c, p, up = count[0], p[0], up[0]
+        for i in range(LANE):
+            d = pad + 1 - off - WARM - i
+            halves[d & 1][d >> 1 :].take(c, out=p, mode="clip")
+            np.less(rows[:, WARM + i], p, out=up)
+            c = np.add(c, up, out=lane[:, i])
+        lane *= 2
+        lane -= np.arange(WARM + 1, steps + 1) + off
+        entry = np.arange(first, lanes) * LANE - WARM - 1
+        state = np.where(entry < 0, n, out[entry])
+        bad[first:] = ~(met & (low <= state) & (state <= high))
+    # Walk the lanes that are not certified, in order. Each one fixes the
+    # entry state of the lane that warms up from it, which is checked again.
+    lag = -(-(WARM + 1) // LANE)
+    j = first
+    while j < lanes:
+        j += int(bad[j:].argmax())
+        if not bad[j]:
+            break
+        grid[j] = _walk_steps(unis[j * LANE : (j + 1) * LANE], int(out[j * LANE - 1]), p_up)
+        k = j + lag
+        if k < lanes:
+            state = out[k * LANE - WARM - 1]
+            bad[k] = not (met[k - first] and low <= state <= high)
+        j += 1
+    return out
 
 
 def photon_number_histogram(

@@ -672,6 +672,20 @@ def test_exit_code_config_error(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+
+def test_window_shorter_than_one_bin_is_refused(tmp_path, scaled_cfg_file, capsys):
+    # a configuration error before any stream is read, simulated or written
+    assert main(["correlate-fit", str(tmp_path / "no1"), str(tmp_path / "no2"),
+                 "--window-us", "0.001", "--out", str(tmp_path / "x")]) == 2
+    assert main(["pipeline", "--config", str(scaled_cfg_file), "--duration-s", "0.001",
+                 "--window-us", "0.001", "--out-dir", str(tmp_path / "p")]) == 2
+    # the default window, 5 / Gamma_c = 5.3 us, against a 6 us bin
+    assert main(["pipeline", "--config", str(scaled_cfg_file), "--duration-s", "0.001",
+                 "--bin-ns", "6000", "--out-dir", str(tmp_path / "q")]) == 2
+    assert capsys.readouterr().err.count("shorter than one bin") == 3
+    assert not list(tmp_path.glob("**/ch1.mlts1"))
+    assert not list(tmp_path.glob("**/*manifest.txt"))
+
 def test_exit_code_numerical_error(tmp_path):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(SCALED_CFG.replace("n_max = 256", "n_max = 8"))

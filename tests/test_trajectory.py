@@ -19,8 +19,11 @@ from microlaser.core import (
 from microlaser.errors import TruncationError
 from microlaser.quantum import effective_n_max, steady_state
 from microlaser.semiclassical import find_fixed_points
+from microlaser import trajectory
 from microlaser.trajectory import (
     RANDOM_BLOCK,
+    _walk_lanes,
+    _walk_steps,
     photon_number_histogram,
     simulate,
     total_variation_distance,
@@ -357,6 +360,92 @@ def test_matches_per_event_loop(config_seed, run_seed, lifetimes, n_max, start, 
     for field in ("final_n", "atoms_injected", "emissions", "decays", "detections"):
         assert getattr(bare, field) == getattr(rec, field)
 
+
+
+@pytest.mark.parametrize("point", ["published", "scaled-33", "start-250"])
+def test_many_blocks_match_per_event_loop(point, monkeypatch):
+    # the gate keeps the one-step walk at the published point and at <N> = 33;
+    # from 250 the first coupled block's band reaches up to 250, so many of
+    # its lanes do not meet and are walked one step at a time
+    scaled = MicrolaserConfig(**SCALED_KWARGS)
+    cfg, duration, seed, initial_n, coupled = {
+        "published": (MicrolaserConfig(**PUBLISHED_KWARGS), 1e-3, 3, 560, False),
+        "scaled-33": (scaled.with_n_atoms(33.0), 5e-3, 4, 190, False),
+        "start-250": (scaled, 5e-3, 5, 250, True),
+    }[point]
+    dist = VelocityDistribution.from_config(cfg)
+    blocks = []
+    monkeypatch.setattr(trajectory, "_walk_lanes",
+                        lambda *args: blocks.append(args[1]) or _walk_lanes(*args))
+    rec = simulate(cfg, dist, duration, seed=seed, initial_n=initial_n)
+    assert rec.path_values.size > 4 * RANDOM_BLOCK
+    assert bool(blocks) == coupled
+    times, values, ch1, ch2, atoms = _per_event_loop(cfg, dist, duration, seed, initial_n)
+    assert np.array_equal(rec.path_times, times)
+    assert np.array_equal(rec.path_values, values)
+    assert np.array_equal(rec.stream1.times, ch1)
+    assert np.array_equal(rec.stream2.times, ch2)
+    assert rec.atoms_injected == atoms
+
+
+@st.composite
+def _p_up_tables(draw):
+    """A table of step-up probabilities with its two sentinels appended."""
+    n_basis = draw(st.integers(1, 48))
+    x = np.arange(n_basis + 1)
+    shape = draw(st.sampled_from(("drawn", "falling", "two-lobed", "rising")))
+    if shape == "drawn":  # non-monotone, with runs of 0 and 1
+        cell = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)
+        table = draw(st.lists(cell, min_size=n_basis + 1, max_size=n_basis + 1))
+    elif shape == "two-lobed":
+        period = draw(st.floats(4.0, 40.0))
+        table = np.clip(0.5 + draw(st.floats(0.2, 2.0)) * np.cos(TWO_PI * x / period), 0.0, 1.0)
+    else:  # through 1/2 at a drawn state; "rising" pushes the paths apart
+        slope = draw(st.floats(0.02, 2.0)) * (1.0 if shape == "rising" else -1.0)
+        table = np.clip(0.5 + slope * (x - draw(st.floats(0.0, n_basis))), 0.0, 1.0)
+    return [*np.asarray(table, dtype=float).tolist(), 0.0, 1.0]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    p_up=_p_up_tables(),
+    lane=st.sampled_from((2, 4, 6, 8)),
+    warm=st.sampled_from((2, 4, 6, 10, 16)),
+    lanes=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_lane_walk_matches_one_step_walk(p_up, lane, warm, lanes, seed, data):
+    top = len(p_up) - 3  # n_basis
+    n = data.draw(st.sampled_from((0, top)) | st.integers(0, top), label="n")
+    # mostly around the entry; a negative reach misses it, or empties the band
+    reach = st.integers(-2, top + 2)
+    low, high = n - data.draw(reach, label="below"), n + data.draw(reach, label="above")
+    unis = np.random.default_rng(seed).random(lane * lanes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trajectory, "LANE", lane)
+        mp.setattr(trajectory, "WARM", warm)
+        states = _walk_lanes(unis, n, p_up, low, high)
+    assert np.array_equal(states, _walk_steps(unis, n, p_up))
+
+
+@pytest.mark.parametrize("slope, certified", [(-0.25, True), (0.25, False)])
+def test_lanes_are_certified_only_where_paths_meet(slope, certified, monkeypatch):
+    # falling through 1/2 the paths close in and meet within the warm-up;
+    # rising they run apart to the sentinels and never meet, so every lane
+    # takes the one-step walk
+    p_up = [*np.clip(0.5 + slope * (np.arange(41) - 20.0), 0.0, 1.0).tolist(), 0.0, 1.0]
+    unis = np.random.default_rng(3).random(8 * 200)
+    exact = _walk_steps(unis, 20, p_up)
+    walked = []
+    monkeypatch.setattr(trajectory, "LANE", 8)
+    monkeypatch.setattr(trajectory, "WARM", 8)
+    monkeypatch.setattr(trajectory, "_walk_steps",
+                        lambda u, n, p: walked.append(u.size) or _walk_steps(u, n, p))
+    states = _walk_lanes(unis, 20, p_up, int(exact.min()), int(exact.max()))
+    assert np.array_equal(states, exact)
+    # lane 0 always takes the one-step walk
+    assert (len(walked) < 20) if certified else (len(walked) == 200)
 
 def test_memory_grows_with_decays_not_jumps(scaled_cfg, scaled_dist):
     # without a path, a run keeps the decay times (8 B each), the two streams
