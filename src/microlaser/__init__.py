@@ -26,13 +26,7 @@ from .correlator import (
     normalize,
     shot_noise_rms,
 )
-from .errors import (
-    ConfigError,
-    FitConvergenceError,
-    MicrolaserError,
-    NoFixedPointError,
-    TruncationError,
-)
+from .errors import ConfigError, MicrolaserError, TruncationError
 from .fitting import ExpFit, fit_exp_decay
 from .quantum import (
     G2Curve,

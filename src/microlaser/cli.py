@@ -259,7 +259,7 @@ def cmd_sweep(args):
     rows = []
     for pt in result.points:
         n_q, q_q, tau_q = 0.0, None, None
-        theory = _theory(cfg.with_n_atoms(pt.n_atoms_mean), dist) if pt.n_atoms_mean > 0.0 else None
+        theory = _theory(cfg.with_n_atoms(pt.n_atoms_mean), dist)
         if theory is not None:
             p, _, summary = theory
             n_q, q_q, tau_q = p.mean, p.mandel_q, summary.tau_c
@@ -453,8 +453,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--quadrature-nodes", type=int, default=64,
         help="velocity quadrature node count (default 64)",
     )
-    p.add_argument("--symmetric", action="store_true", help="average (a,b) and (b,a) histograms")
-    p.add_argument("--tail-normalize", action="store_true", help="normalize by far-tau tail")
+    # the symmetric estimate has its own baseline, so it takes no tail normalization
+    one_baseline = p.add_mutually_exclusive_group()
+    one_baseline.add_argument(
+        "--symmetric", action="store_true", help="average (a,b) and (b,a) histograms"
+    )
+    one_baseline.add_argument(
+        "--tail-normalize", action="store_true", help="normalize by far-tau tail"
+    )
     p.add_argument(
         "--exclude-bins", type=int, default=1,
         help="number of leading bins excluded from the fit (default 1)",

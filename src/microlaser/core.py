@@ -55,16 +55,11 @@ class MicrolaserConfig:
     n_max: int | None = None
 
     def __post_init__(self):
-        if not (self.g0 > 0.0):
-            raise ConfigError(f"g0 must be positive, got {self.g0}")
-        if not (self.gamma_c > 0.0):
-            raise ConfigError(f"gamma_c must be positive, got {self.gamma_c}")
-        if not (self.mode_waist > 0.0):
-            raise ConfigError(f"mode_waist must be positive, got {self.mode_waist}")
-        if not (self.v0 > 0.0):
-            raise ConfigError(f"v0 must be positive, got {self.v0}")
-        if not (self.n_atoms_mean >= 0.0):
-            raise ConfigError(f"n_atoms_mean must be >= 0, got {self.n_atoms_mean}")
+        for name in ("g0", "gamma_c", "mode_waist", "v0"):
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not (0.0 <= self.n_atoms_mean < math.inf):
+            raise ConfigError(f"n_atoms_mean must be finite and >= 0, got {self.n_atoms_mean}")
         if not (0.0 <= self.dv_fwhm_frac < 1.0):
             raise ConfigError(
                 f"dv_fwhm_frac must be in [0, 1), got {self.dv_fwhm_frac}"

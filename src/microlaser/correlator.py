@@ -85,6 +85,8 @@ PAIR_BATCH = 1 << 15
 # stops binned per start by walking before the rest of its window is searched;
 # longer walks timed alike on the correlate-file streams, 2 and 3 were slower
 WALK_STEPS = 4
+# share of the trailing bins whose mean count is the baseline of ``normalize``'s tail mode
+TAIL_FRACTION = 0.25
 # a cgroup v2 CPU quota: "<quota> <period>" in microseconds, or "max <period>"
 CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
 
@@ -350,18 +352,15 @@ def merge_histograms(parts) -> CorrelationHistogram:
     )
 
 
-def normalize(
-    h: CorrelationHistogram,
-    mode: str = "rates",
-    tail_fraction: float = 0.25,
-) -> G2Estimate:
+def normalize(h: CorrelationHistogram, mode: str = "rates") -> G2Estimate:
     """Convert pair counts to g2 with per-bin Poisson sigmas.
 
     ``rates`` divides by the analytic uncorrelated baseline
     rate1 * rate2 * bin_width * t_acq, which leaves out that a start within
     tau of the end of the run has no stop at delay tau; ``tail`` divides by
     the mean count of the trailing bins, which tolerates rate drift in real
-    data.
+    data. The trailing bins are the last ``TAIL_FRACTION`` of the histogram,
+    at least one.
     """
     if h.t_acq <= 0.0:
         raise NormalizationError(f"t_acq must be positive, got {h.t_acq}")
@@ -372,7 +371,7 @@ def normalize(
             )
         baseline = _uncorrelated_pairs(h)
     elif mode == "tail":
-        n_tail = max(1, int(tail_fraction * h.n_bins))
+        n_tail = max(1, int(TAIL_FRACTION * h.n_bins))
         baseline = float(h.counts[-n_tail:].mean())
         if baseline <= 0.0:
             raise NormalizationError("undefined normalization: empty tail bins")

@@ -14,12 +14,10 @@ class TruncationError(MicrolaserError):
 
 
 class FitConvergenceError(MicrolaserError):
-    """Nonlinear fit failed to converge; ``last_iterate`` holds (c0, tau_c)."""
+    """Nonlinear fit failed to converge; ``last_iterate`` holds (c0, tau_c).
+
+    No fit raises it; the benchmark's tracer still counts it as fitting.failures."""
 
     def __init__(self, message, last_iterate=None):
         super().__init__(message)
         self.last_iterate = last_iterate
-
-
-class NoFixedPointError(MicrolaserError):
-    """Gain-loss balance has no root on the scanned range."""

@@ -131,22 +131,18 @@ def _truncation_report(p: np.ndarray, birth_at_top: float, death_at_top: float):
     return adequate, tail_mass, beyond
 
 
-def steady_state(
-    cfg: MicrolaserConfig,
-    dist: VelocityDistribution,
-    n_max: int | None = None,
-) -> PhotonDistribution:
+def steady_state(cfg: MicrolaserConfig, dist: VelocityDistribution) -> PhotonDistribution:
     """Detailed-balance steady state P_n = P_0 prod_k r beta_bar_k / (Gamma_c k).
 
     The rates come from ``build_generator``; the product is accumulated in log
-    space to dodge overflow, then normalized. If the tail check fails at the
-    requested truncation, the basis is doubled once before giving up with a
-    TruncationError. A top state inside the g2 window (P_n > SPECTRAL_FLOOR *
-    max P) also takes the doubling, which shrinks the flux past the top that
-    ``g2_regression`` has to allow for; the larger basis is kept whatever its
-    top.
+    space to dodge overflow, then normalized. The basis is
+    ``effective_n_max(cfg)``; if the tail check fails there, it is doubled
+    once before giving up with a TruncationError. A top state inside the g2
+    window (P_n > SPECTRAL_FLOOR * max P) also takes the doubling, which
+    shrinks the flux past the top that ``g2_regression`` has to allow for;
+    the larger basis is kept whatever its top.
     """
-    size = n_max if n_max is not None else effective_n_max(cfg)
+    size = effective_n_max(cfg)
     for attempt in range(2):
         gen = build_generator(cfg, dist, size)
         with np.errstate(divide="ignore"):
@@ -194,17 +190,14 @@ class MasterEquationGenerator:
 
 
 def build_generator(
-    cfg: MicrolaserConfig,
-    dist: VelocityDistribution,
-    n_max: int | None = None,
+    cfg: MicrolaserConfig, dist: VelocityDistribution, n_max: int
 ) -> MasterEquationGenerator:
     """Birth r * beta_bar_{n+1} and death Gamma_c * n on 0..n_max, formed only here."""
-    size = n_max if n_max is not None else effective_n_max(cfg)
     r = injection_rate(cfg)
-    beta_bar = averaged_beta_table(size, cfg, dist)
-    birth = np.zeros(size + 1)
+    beta_bar = averaged_beta_table(n_max, cfg, dist)
+    birth = np.zeros(n_max + 1)
     birth[:-1] = r * beta_bar
-    death = cfg.gamma_c * np.arange(size + 1, dtype=float)
+    death = cfg.gamma_c * np.arange(n_max + 1, dtype=float)
     diag = -(birth + death)
     for arr in (birth, death, diag):
         arr.flags.writeable = False
@@ -246,9 +239,9 @@ class G2Curve:
             object.__setattr__(self, name, arr)
 
 
-def default_tau_grid(cfg: MicrolaserConfig, n_points: int = DEFAULT_TAU_POINTS) -> np.ndarray:
-    """Linear grid on [0, 5 / Gamma_c], enough span for all observed tau_c."""
-    return np.linspace(0.0, DEFAULT_TAU_SPAN_LIFETIMES / cfg.gamma_c, n_points)
+def default_tau_grid(cfg: MicrolaserConfig) -> np.ndarray:
+    """DEFAULT_TAU_POINTS on [0, 5 / Gamma_c], enough span for all observed tau_c."""
+    return np.linspace(0.0, DEFAULT_TAU_SPAN_LIFETIMES / cfg.gamma_c, DEFAULT_TAU_POINTS)
 
 
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:

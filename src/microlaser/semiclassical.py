@@ -11,6 +11,11 @@ including its hysteretic jumps.
 beta_bar does not depend on the pump, so a sweep tabulates it once on the
 root-scan grid and bisects the brackets of every pump together;
 ``find_fixed_points`` is the one-pump case of the same census.
+
+The census is never empty. G - L = r * beta_bar(1) >= 0 at n = 0, and the
+origin counts as a root when that gain vanishes. Since G <= r, G - L < 0 at
+the end of the scan, 1.1 * r / Gamma_c + 10, so G - L changes sign (or
+vanishes on a grid point) in between.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .core import (
     interaction_time,
     photon_bound,
 )
-from .errors import NoFixedPointError
 
 DEFAULT_GRID_STEP = 0.25
 ROOT_RTOL = 1e-9
@@ -88,16 +92,11 @@ def _classify(n0: float, cfg, dist) -> FixedPoint:
     return FixedPoint(n0=n0, stable=stable, restoring_rate=d, tau_c=tau_c, q_semiclassical=q)
 
 
-def _scan_max(cfg: MicrolaserConfig, n_scan_max: float | None) -> float:
+def _scan_max(cfg: MicrolaserConfig) -> float:
     """The upper end of the root scan, checked before any beta-bar is computed."""
-    if n_scan_max is None:
-        n_scan_max = photon_bound(cfg)
-        if not math.isfinite(n_scan_max):
-            raise ValueError(f"n_atoms_mean must be finite, got {cfg.n_atoms_mean}")
-    elif not math.isfinite(n_scan_max):
-        raise ValueError(f"n_scan_max must be finite, got {n_scan_max}")
-    if n_scan_max < 1.0:
-        raise ValueError(f"n_scan_max must be >= 1, got {n_scan_max}")
+    n_scan_max = photon_bound(cfg)
+    if not math.isfinite(n_scan_max):
+        raise ValueError(f"root scan range is not finite (n_atoms_mean={cfg.n_atoms_mean})")
     return n_scan_max
 
 
@@ -172,35 +171,18 @@ def _roots(
     return census
 
 
-def _census(
-    cfg: MicrolaserConfig, dist: VelocityDistribution, roots: list[float], n_scan_max: float
-) -> list[FixedPoint]:
-    """One pump's fixed points, classified; no root on the scan range is an error."""
-    if not roots:
-        raise NoFixedPointError(
-            f"G - L has no root on [0, {n_scan_max:g}] (n_atoms_mean={cfg.n_atoms_mean:g})"
-        )
-    return [_classify(n0, cfg, dist) for n0 in roots]
+def find_fixed_points(cfg: MicrolaserConfig, dist: VelocityDistribution) -> list[FixedPoint]:
+    """All roots of G - L on [0, 1.1 r / Gamma_c + 10], classified by the slope of L - G.
 
-
-def find_fixed_points(
-    cfg: MicrolaserConfig,
-    dist: VelocityDistribution,
-    n_scan_max: float | None = None,
-    grid_step: float = DEFAULT_GRID_STEP,
-) -> list[FixedPoint]:
-    """All roots of G - L on [0, n_scan_max], classified by the slope of L - G.
-
-    Sign changes are bracketed on a grid of ``grid_step`` photons and refined
-    by bisection to 1e-9 relative. The default scan range covers every
-    possible root since G <= r implies roots obey n <= r / Gamma_c. This is
-    the one-pump case of the census that ``sweep`` takes over all its pumps.
+    Sign changes are bracketed on a grid of ``DEFAULT_GRID_STEP`` photons and
+    refined by bisection to ``ROOT_RTOL`` relative. The scan range covers
+    every possible root since G <= r implies roots obey n <= r / Gamma_c, and
+    the list is never empty (see the module docstring). This is the one-pump
+    case of the census that ``sweep`` takes over all its pumps.
     """
-    if not (math.isfinite(grid_step) and grid_step > 0.0):
-        raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
-    scan = _scan_max(cfg, n_scan_max)
-    (roots,) = _roots([cfg], dist, [scan], grid_step)
-    return _census(cfg, dist, roots, scan)
+    scan = _scan_max(cfg)
+    (roots,) = _roots([cfg], dist, [scan], DEFAULT_GRID_STEP)
+    return [_classify(n0, cfg, dist) for n0 in roots]
 
 
 def sweep(
@@ -218,10 +200,9 @@ def sweep(
 
     The roots of all pumps come from one census: one beta_bar grid for the
     widest scan range and one bisection over every bracket, giving the same
-    roots as ``find_fixed_points`` pump by pump. A pump with no root on its
-    scan range, or whose roots fail to classify, is recorded per point
-    without aborting the sweep; a pump whose scan range is not finite, or a
-    failure of the shared grid or bisection, raises for the whole sweep.
+    roots as ``find_fixed_points`` pump by pump. A pump whose roots are all
+    unstable is recorded with ``error`` set and nothing selected; a pump
+    whose scan range is not finite raises for the whole sweep.
     """
     n_list = [float(x) for x in n_atoms_list]
     if not n_list:
@@ -235,17 +216,11 @@ def sweep(
         raise ValueError("descending sweep requires strictly decreasing n_atoms_list")
 
     cfgs = [cfg_template.with_n_atoms(n_atoms) for n_atoms in n_list]
-    scans = [_scan_max(cfg, None) for cfg in cfgs]
+    scans = [_scan_max(cfg) for cfg in cfgs]
     points: list[SweepPoint] = []
     previous: float | None = None
-    for n_atoms, cfg, scan, roots in zip(
-        n_list, cfgs, scans, _roots(cfgs, dist, scans, DEFAULT_GRID_STEP)
-    ):
-        try:
-            census = _census(cfg, dist, roots, scan)
-        except Exception as exc:  # recorded, sweep continues
-            points.append(SweepPoint(n_atoms, None, (), error=str(exc)))
-            continue
+    for n_atoms, cfg, roots in zip(n_list, cfgs, _roots(cfgs, dist, scans, DEFAULT_GRID_STEP)):
+        census = [_classify(n0, cfg, dist) for n0 in roots]
         stable = [fp for fp in census if fp.stable]
         if not stable:
             points.append(

@@ -6,6 +6,7 @@ lines. Statistical criteria use fixed seeds so the suite is deterministic.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -133,7 +134,7 @@ def test_criterion_04_bunching_antibunching_transition():
     bistable = np.empty(n_values.size, dtype=bool)
     for i, n_atoms in enumerate(n_values):
         cfg = cfg0.with_n_atoms(float(n_atoms))
-        p = quantum.steady_state(cfg, dist, n_max=n_max)
+        p = quantum.steady_state(replace(cfg, n_max=n_max), dist)
         qs[i] = p.mandel_q
         lobes[i] = lobe(int(np.argmax(p.probabilities)))
         stable = [fp.n0 for fp in semiclassical.find_fixed_points(cfg, dist) if fp.stable]

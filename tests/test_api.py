@@ -16,8 +16,7 @@ PUBLIC_NAMES = {
     "CorrelationHistogram", "G2Estimate", "QEstimate", "correlate", "estimate_q",
     "fit_exponential", "g2_symmetric", "merge_histograms", "normalize", "shot_noise_rms",
     # errors
-    "ConfigError", "FitConvergenceError", "MicrolaserError", "NoFixedPointError",
-    "TruncationError",
+    "ConfigError", "MicrolaserError", "TruncationError",
     # fitting
     "ExpFit", "fit_exp_decay",
     # number-basis theory

@@ -648,6 +648,16 @@ def test_exit_code_config_error(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("g0 = -1\ngamma_c = 1\nmode_waist = 1e-5\nv0 = 700\nn_atoms_mean = 1\n")
     assert main(["predict-g2", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+    # a value that is not finite is refused when the config is loaded
+    for key, text in (("gamma_c_hz", "150e3"), ("g0_hz", "650e3"), ("mode_waist", "41e-6"),
+                      ("v0", "750"), ("n_atoms_mean", "4.2")):
+        for value in ("inf", "nan"):
+            bad.write_text(SCALED_CFG.replace(f"{key} = {text}\n", f"{key} = {value}\n"))
+            assert main(["predict-g2", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+            assert main(["sweep", "--config", str(bad), "--n-range", "1:3:1",
+                         "--out", str(tmp_path / "x")]) == 2
+            assert main(["simulate", "--config", str(bad), "--duration-s", "0.001",
+                         "--out-prefix", str(tmp_path / "x")]) == 2
     cfg = tmp_path / "ok.cfg"
     cfg.write_text(SCALED_CFG)
     assert main(["sweep", "--config", str(cfg), "--n-range", "5:1:1",
@@ -671,6 +681,14 @@ def test_exit_code_config_error(tmp_path):
                          flag, bad, "--out-dir", str(tmp_path / "x")]) == 2
     assert not (tmp_path / "x").exists()
 
+
+def test_symmetric_takes_no_tail_normalization(tmp_path, capsys):
+    # a usage error before either stream is read: missing streams would exit 4
+    assert main(["correlate-fit", str(tmp_path / "no1"), str(tmp_path / "no2"),
+                 "--window-us", "1", "--symmetric", "--tail-normalize",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert "not allowed with argument --symmetric" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_window_shorter_than_one_bin_is_refused(tmp_path, scaled_cfg_file, capsys):

@@ -254,9 +254,12 @@ def test_config_validation_errors():
         ("detection_efficiency", 1.5),
         ("splitter_ratio", 1.0),
         ("n_max", 0),
-    ]:
+    ] + [(key, bad) for key in ("g0", "gamma_c", "mode_waist", "v0", "n_atoms_mean")
+         for bad in (math.inf, math.nan)]:
         with pytest.raises(ConfigError):
             MicrolaserConfig(**{**good, key: bad})
+    with pytest.raises(ConfigError, match="n_atoms_mean must be finite"):
+        MicrolaserConfig(**good).with_n_atoms(math.inf)
 
 
 def test_config_file_roundtrip(tmp_path, published_cfg):

@@ -375,7 +375,7 @@ def test_normalize_trivials():
     assert np.array_equal(normalize(h2).g2, est.g2)
 
 
-def test_normalize_modes_and_errors():
+def test_normalize_modes_and_errors(monkeypatch):
     counts = np.array([30, 20, 10, 10, 10, 10, 10, 10], dtype=np.int64)
     h = CorrelationHistogram(
         bin_width=1e-3, window=8e-3, counts=counts,
@@ -383,7 +383,8 @@ def test_normalize_modes_and_errors():
     )
     with pytest.raises(NormalizationError):
         normalize(h)
-    tail = normalize(h, mode="tail", tail_fraction=0.5)
+    monkeypatch.setattr(correlator_module, "TAIL_FRACTION", 0.5)
+    tail = normalize(h, mode="tail")
     assert tail.g2[2] == pytest.approx(1.0)
     assert tail.g2[0] == pytest.approx(3.0)
     with pytest.raises(ValueError):

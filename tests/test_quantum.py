@@ -103,13 +103,13 @@ def test_steady_state_delta_equals_single_node_gaussian(published_delta_cfg):
 
 def test_steady_state_truncation_error_mentions_n_max(scaled_cfg, scaled_dist):
     with pytest.raises(TruncationError, match="n_max"):
-        steady_state(scaled_cfg, scaled_dist, n_max=8)
+        steady_state(replace(scaled_cfg, n_max=8), scaled_dist)
 
 
 def test_steady_state_auto_doubles_once(scaled_cfg, scaled_dist):
     # 24 is too small but one doubling (48) is enough at <n> ~ 30... it is
     # not, so pick a size where doubling rescues the computation.
-    p = steady_state(scaled_cfg, scaled_dist, n_max=40)
+    p = steady_state(replace(scaled_cfg, n_max=40), scaled_dist)
     assert p.n_max == 80
     reference = steady_state(scaled_cfg, scaled_dist)
     assert p.mean == pytest.approx(reference.mean, rel=1e-9)
@@ -198,10 +198,10 @@ def _old_n_max(cfg):
     return min(quantum.N_MAX_CAP, max(quantum.N_MAX_FLOOR, math.ceil(4.0 * r / cfg.gamma_c)))
 
 
-def _solve(cfg, dist, n_max=None):
+def _solve(cfg, dist):
     """(steady state, g2 summary, kept states); the summary is None for an
     empty field and a TruncationError where the g2 solve refuses its window."""
-    p = steady_state(cfg, dist, n_max=n_max)
+    p = steady_state(cfg, dist)
     if p.mean <= 0.0:
         return p, None, None
     try:
@@ -213,7 +213,7 @@ def _solve(cfg, dist, n_max=None):
 
 def _assert_matches_old_basis(cfg, dist):
     try:
-        old_p, old_g2, old_kept = _solve(cfg, dist, _old_n_max(cfg))
+        old_p, old_g2, old_kept = _solve(replace(cfg, n_max=_old_n_max(cfg)), dist)
     except TruncationError:
         return
     new_p, new_g2, new_kept = _solve(cfg, dist)  # raises nowhere the old basis solves
