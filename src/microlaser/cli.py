@@ -172,7 +172,7 @@ def _basis_entries(cfg, p, curve) -> list[tuple[str, object]]:
 
 
 def _correlate_fit(a, b, bin_width, window, cfg=None, theory=None, symmetric=False,
-                   tail=False, exclude_bins=1):
+                   exclude_bins=1):
     """The g2 estimate of streams a and b, its exponential fit, and the report
     entries: the fit, the measurement and, given ``theory`` (``_theory`` of
     ``cfg``), the Q estimates and the comparison with that theory."""
@@ -180,7 +180,7 @@ def _correlate_fit(a, b, bin_width, window, cfg=None, theory=None, symmetric=Fal
         est = correlator.g2_symmetric(a, b, bin_width, window)
     else:
         hist = correlator.correlate(a, b, bin_width, window)
-        est = correlator.normalize(hist, mode="tail" if tail else "rates")
+        est = correlator.normalize(hist)
     fit = correlator.fit_exponential(est, exclude_below=exclude_bins * bin_width)
     shot_noise = (correlator.shot_noise_rms(est.rate1, est.rate2, bin_width, est.t_acq)
                   if est.rate1 > 0 and est.rate2 > 0 else None)
@@ -330,7 +330,7 @@ def cmd_correlate_fit(args):
         theory = _theory(cfg, dist)
     est, _, entries = _correlate_fit(
         a, b, args.bin_ns * 1e-9, args.window_us * 1e-6, cfg, theory, symmetric=args.symmetric,
-        tail=args.tail_normalize, exclude_bins=args.exclude_bins,
+        exclude_bins=args.exclude_bins,
     )
 
     manifest = RunManifest.of(args, cfg, [name for name in (args.out, args.g2_csv) if name])
@@ -340,10 +340,17 @@ def cmd_correlate_fit(args):
     return manifest, f"{args.out}.manifest.txt"
 
 
-def _check_window(window: float, bin_ns: float) -> None:
-    """Refuse a correlation window (s) that holds no bin of ``bin_ns``."""
+def _check_window(window: float, bin_ns: float, exclude_bins: int = 1) -> None:
+    """Refuse a correlation window (s) that holds no bin of ``bin_ns``, or too
+    few past the ``exclude_bins`` leading ones for ``fit_exponential``."""
     if window < bin_ns * 1e-9:
         raise ConfigError(f"window {window:g} s is shorter than one bin of {bin_ns:g} ns")
+    n_fit = correlator.bin_count(bin_ns * 1e-9, window) - exclude_bins
+    if n_fit < correlator.MIN_FIT_BINS:
+        raise ConfigError(
+            f"window {window:g} s leaves {n_fit} bins of {bin_ns:g} ns past the "
+            f"{exclude_bins} excluded, and the fit needs {correlator.MIN_FIT_BINS}"
+        )
 
 
 def cmd_pipeline(args):
@@ -453,14 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--quadrature-nodes", type=int, default=64,
         help="velocity quadrature node count (default 64)",
     )
-    # the symmetric estimate has its own baseline, so it takes no tail normalization
-    one_baseline = p.add_mutually_exclusive_group()
-    one_baseline.add_argument(
-        "--symmetric", action="store_true", help="average (a,b) and (b,a) histograms"
-    )
-    one_baseline.add_argument(
-        "--tail-normalize", action="store_true", help="normalize by far-tau tail"
-    )
+    p.add_argument("--symmetric", action="store_true", help="average (a,b) and (b,a) histograms")
     p.add_argument(
         "--exclude-bins", type=int, default=1,
         help="number of leading bins excluded from the fit (default 1)",
@@ -498,8 +498,8 @@ def main(argv=None) -> int:
                 raise ConfigError(
                     f"--{flag.replace('_', '-')} must be positive and finite, got {value}"
                 )
-        if getattr(args, "window_us", None) is not None:
-            _check_window(args.window_us * 1e-6, args.bin_ns)
+        if args.command == "correlate-fit":
+            _check_window(args.window_us * 1e-6, args.bin_ns, args.exclude_bins)
         # one clock per command line, from its config load to its last artifact
         t0 = time.perf_counter()
         manifest, manifest_path = args.func(args)

@@ -75,6 +75,18 @@ class MicrolaserConfig:
         if self.n_max is not None:
             if not isinstance(self.n_max, int) or self.n_max < 1:
                 raise ConfigError(f"n_max must be a positive integer, got {self.n_max}")
+        # the rate-equation root scan and the default photon basis reach to
+        # photon_bound, so r and the bound must both be finite
+        t_int = interaction_time(self.v0, self.mode_waist)
+        if not (0.0 < t_int < math.inf):
+            raise ConfigError(
+                f"transit time sqrt(pi) * mode_waist / v0 = {t_int:g} s must be positive and finite"
+            )
+        if not math.isfinite(photon_bound(self)):
+            raise ConfigError(
+                f"photon bound 1.1 r / gamma_c + 10 is not finite (r = {injection_rate(self):g}/s, "
+                f"gamma_c = {self.gamma_c:g} rad/s)"
+            )
 
     def to_dict(self) -> dict:
         """Flat snapshot used in file headers and manifests."""

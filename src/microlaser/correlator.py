@@ -85,8 +85,8 @@ PAIR_BATCH = 1 << 15
 # stops binned per start by walking before the rest of its window is searched;
 # longer walks timed alike on the correlate-file streams, 2 and 3 were slower
 WALK_STEPS = 4
-# share of the trailing bins whose mean count is the baseline of ``normalize``'s tail mode
-TAIL_FRACTION = 0.25
+# fewest bins, past the excluded ones and with counts, that ``fit_exponential`` fits
+MIN_FIT_BINS = 10
 # a cgroup v2 CPU quota: "<quota> <period>" in microseconds, or "max <period>"
 CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
 
@@ -115,7 +115,7 @@ class CorrelationHistogram:
         c = np.asarray(self.counts, dtype=np.int64)
         if c.ndim != 1 or np.any(c < 0):
             raise ValueError("counts must be a 1-d array of nonnegative integers")
-        if c.size != math.ceil(self.window / self.bin_width - 1e-9):
+        if c.size != bin_count(self.bin_width, self.window):
             raise ValueError("counts length must equal ceil(window / bin_width)")
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
@@ -186,7 +186,7 @@ def correlate(
     if t_acq <= 0.0:
         raise ValueError(f"streams must have positive duration, got {t_acq}")
 
-    n_bins = math.ceil(window / bin_width - 1e-9)
+    n_bins = bin_count(bin_width, window)
     reach = np.nextafter(n_bins * bin_width, np.inf)
     n_chunks = -(-a.count // DEFAULT_CHUNK)
     n_workers = max(1, min(_usable_cpus(), n_chunks))
@@ -222,6 +222,11 @@ def correlate(
         rate2=b.count / t_acq,
         t_acq=t_acq,
     )
+
+
+def bin_count(bin_width: float, window: float) -> int:
+    """Bins of ``bin_width`` that cover ``window``: ceil(window / bin_width)."""
+    return math.ceil(window / bin_width - 1e-9)
 
 
 def _usable_cpus() -> int:
@@ -352,32 +357,20 @@ def merge_histograms(parts) -> CorrelationHistogram:
     )
 
 
-def normalize(h: CorrelationHistogram, mode: str = "rates") -> G2Estimate:
+def normalize(h: CorrelationHistogram) -> G2Estimate:
     """Convert pair counts to g2 with per-bin Poisson sigmas.
 
-    ``rates`` divides by the analytic uncorrelated baseline
+    Every bin is divided by the uncorrelated baseline
     rate1 * rate2 * bin_width * t_acq, which leaves out that a start within
-    tau of the end of the run has no stop at delay tau; ``tail`` divides by
-    the mean count of the trailing bins, which tolerates rate drift in real
-    data. The trailing bins are the last ``TAIL_FRACTION`` of the histogram,
-    at least one.
+    tau of the end of the run has no stop at delay tau.
     """
     if h.t_acq <= 0.0:
         raise NormalizationError(f"t_acq must be positive, got {h.t_acq}")
-    if mode == "rates":
-        if h.rate1 <= 0.0 or h.rate2 <= 0.0:
-            raise NormalizationError(
-                f"undefined normalization: rates ({h.rate1:g}, {h.rate2:g}) must be positive"
-            )
-        baseline = _uncorrelated_pairs(h)
-    elif mode == "tail":
-        n_tail = max(1, int(TAIL_FRACTION * h.n_bins))
-        baseline = float(h.counts[-n_tail:].mean())
-        if baseline <= 0.0:
-            raise NormalizationError("undefined normalization: empty tail bins")
-    else:
-        raise ValueError(f"unknown normalization mode {mode!r}")
-    return _estimate(h, h.counts, baseline)
+    if h.rate1 <= 0.0 or h.rate2 <= 0.0:
+        raise NormalizationError(
+            f"undefined normalization: rates ({h.rate1:g}, {h.rate2:g}) must be positive"
+        )
+    return _estimate(h, h.counts, _uncorrelated_pairs(h))
 
 
 def g2_symmetric(
@@ -434,9 +427,9 @@ def fit_exponential(est: G2Estimate, exclude_below: float | None = None) -> ExpF
     if exclude_below is None:
         exclude_below = est.bin_width
     usable = (est.tau >= exclude_below) & (est.counts > 0)
-    if usable.sum() < 10:
+    if usable.sum() < MIN_FIT_BINS:
         raise ValueError(
-            f"need at least 10 usable bins with counts, have {int(usable.sum())}"
+            f"need at least {MIN_FIT_BINS} usable bins with counts, have {int(usable.sum())}"
         )
     return fit_exp_decay(est.tau[usable], est.g2[usable], est.sigma[usable])
 

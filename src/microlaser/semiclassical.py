@@ -92,14 +92,6 @@ def _classify(n0: float, cfg, dist) -> FixedPoint:
     return FixedPoint(n0=n0, stable=stable, restoring_rate=d, tau_c=tau_c, q_semiclassical=q)
 
 
-def _scan_max(cfg: MicrolaserConfig) -> float:
-    """The upper end of the root scan, checked before any beta-bar is computed."""
-    n_scan_max = photon_bound(cfg)
-    if not math.isfinite(n_scan_max):
-        raise ValueError(f"root scan range is not finite (n_atoms_mean={cfg.n_atoms_mean})")
-    return n_scan_max
-
-
 def _roots(
     cfgs: list[MicrolaserConfig],
     dist: VelocityDistribution,
@@ -180,8 +172,7 @@ def find_fixed_points(cfg: MicrolaserConfig, dist: VelocityDistribution) -> list
     the list is never empty (see the module docstring). This is the one-pump
     case of the census that ``sweep`` takes over all its pumps.
     """
-    scan = _scan_max(cfg)
-    (roots,) = _roots([cfg], dist, [scan], DEFAULT_GRID_STEP)
+    (roots,) = _roots([cfg], dist, [photon_bound(cfg)], DEFAULT_GRID_STEP)
     return [_classify(n0, cfg, dist) for n0 in roots]
 
 
@@ -201,8 +192,7 @@ def sweep(
     The roots of all pumps come from one census: one beta_bar grid for the
     widest scan range and one bisection over every bracket, giving the same
     roots as ``find_fixed_points`` pump by pump. A pump whose roots are all
-    unstable is recorded with ``error`` set and nothing selected; a pump
-    whose scan range is not finite raises for the whole sweep.
+    unstable is recorded with ``error`` set and nothing selected.
     """
     n_list = [float(x) for x in n_atoms_list]
     if not n_list:
@@ -216,7 +206,7 @@ def sweep(
         raise ValueError("descending sweep requires strictly decreasing n_atoms_list")
 
     cfgs = [cfg_template.with_n_atoms(n_atoms) for n_atoms in n_list]
-    scans = [_scan_max(cfg) for cfg in cfgs]
+    scans = [photon_bound(cfg) for cfg in cfgs]
     points: list[SweepPoint] = []
     previous: float | None = None
     for n_atoms, cfg, roots in zip(n_list, cfgs, _roots(cfgs, dist, scans, DEFAULT_GRID_STEP)):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter
 from pathlib import Path
@@ -11,11 +12,20 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microlaser import cli
 from microlaser.cli import main
 from microlaser.core import VelocityDistribution, load_config
-from microlaser.streams import read_mlts1
+from microlaser.correlator import correlate, g2_symmetric, merge_histograms, normalize
+from microlaser.streams import (
+    PS_PER_SECOND,
+    TimestampStream,
+    read_mlts1,
+    read_stream,
+    write_mlts1,
+)
 from microlaser.trajectory import simulate
 
 SCALED_CFG = """\
@@ -223,7 +233,6 @@ def test_simulate_deterministic_and_readable(tmp_path, scaled_cfg_file):
 
 
 def test_correlate_fit_times_the_reads_outside_the_hash(tmp_path, monkeypatch):
-    from microlaser.streams import TimestampStream, write_mlts1
 
     rng = np.random.default_rng(4)
     for channel in (1, 2):
@@ -335,7 +344,6 @@ def _command_line(command, inputs, out):
     ("sweep", ["--direction", "up"], ["--direction", "down"]),
 ])
 def test_run_record_lists_and_hashes_every_option(tmp_path, command, first, second):
-    from microlaser.streams import TimestampStream, write_mlts1
 
     rng = np.random.default_rng(6)
     for channel in (1, 2):
@@ -377,7 +385,6 @@ def test_run_clock_spans_the_artifact_writes(tmp_path, scaled_cfg_file, monkeypa
 def test_correlate_fit_with_an_empty_steady_state_writes_no_theory(tmp_path):
     # a zero-pump config has no theory to compare with: the report is that of
     # correlate-fit without --config
-    from microlaser.streams import TimestampStream, write_mlts1
 
     rng = np.random.default_rng(5)
     for channel in (1, 2):
@@ -474,8 +481,67 @@ def test_correlate_fit_roundtrip(tmp_path, scaled_cfg_file):
     assert len(rows) == n_bins + 1
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.tuples(st.integers(150, 500), st.integers(150, 500)),
+    bin_ps=st.integers(1, 20_000),
+    n_bins=st.integers(11, 40),
+    windows=st.integers(5, 40),
+    on_bin_edges=st.booleans(),
+    cuts=st.lists(st.floats(0.0, 1.0), max_size=3),
+)
+def test_every_route_gives_one_histogram(seed, sizes, bin_ps, n_bins, windows, on_bin_edges,
+                                         cuts):
+    # streams on the integer-picosecond grid, so that an MLTS1 round trip is exact;
+    # times on bin edges put delays on them too, where float rounding picks the bin
+    rng = np.random.default_rng(seed)
+    tick = bin_ps if on_bin_edges else 1
+    duration_ps = n_bins * bin_ps * windows
+    duration = duration_ps / PS_PER_SECOND
+    a, b = (
+        TimestampStream(np.sort(rng.integers(0, duration_ps // tick, n, endpoint=True)) * tick
+                        / PS_PER_SECOND, channel, duration)
+        for channel, n in zip((1, 2), sizes)
+    )
+    # the bin width and window as correlate-fit forms them from its options
+    bin_ns, window_us = bin_ps / 1000, n_bins * bin_ps / 1e6
+    bin_width, window = bin_ns * 1e-9, window_us * 1e-6
+    whole = correlate(a, b, bin_width, window)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for stream, name in ((a, "ch1.mlts1"), (b, "ch2.mlts1")):
+            write_mlts1(stream, tmp / name)
+            again = read_stream(tmp / name)
+            assert np.array_equal(again.times, stream.times)
+            assert again.duration == stream.duration
+        from_file = correlate(read_stream(tmp / "ch1.mlts1"), read_stream(tmp / "ch2.mlts1"),
+                              bin_width, window)
+        assert np.array_equal(from_file.counts, whole.counts)
+        assert (from_file.rate1, from_file.rate2) == (whole.rate1, whole.rate2)
+
+        # correlate-fit's g2 rows are normalize(correlate(...)) as written
+        assert main(["correlate-fit", str(tmp / "ch1.mlts1"), str(tmp / "ch2.mlts1"),
+                     "--bin-ns", repr(bin_ns), "--window-us", repr(window_us),
+                     "--g2-csv", str(tmp / "g2.csv"), "--out", str(tmp / "fit.txt")]) == 0
+        est = normalize(whole)
+        assert body_lines(tmp / "g2.csv")[1:] == [
+            f"{t:.17g},{g:.17g},{s:.17g}" for t, g, s in zip(est.tau, est.g2, est.sigma)
+        ]
+
+    ends = sorted(int(c * a.count) for c in cuts)
+    parts = [TimestampStream(a.times[lo:hi], 1, duration)
+             for lo, hi in zip([0] + ends, ends + [a.count])]
+    merged = merge_histograms(correlate(part, b, bin_width, window) for part in parts)
+    assert np.array_equal(merged.counts, whole.counts)
+
+    reverse = correlate(b, a, bin_width, window)
+    assert np.array_equal(g2_symmetric(a, b, bin_width, window).counts,
+                          whole.counts + reverse.counts)
+
+
 def test_correlate_fit_flat_poisson(tmp_path, scaled_cfg_file):
-    from microlaser.streams import TimestampStream, write_mlts1
 
     rng = np.random.default_rng(77)
     duration = 5.0
@@ -682,12 +748,11 @@ def test_exit_code_config_error(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
-def test_symmetric_takes_no_tail_normalization(tmp_path, capsys):
+def test_tail_normalize_is_an_unknown_option(tmp_path, capsys):
     # a usage error before either stream is read: missing streams would exit 4
     assert main(["correlate-fit", str(tmp_path / "no1"), str(tmp_path / "no2"),
-                 "--window-us", "1", "--symmetric", "--tail-normalize",
-                 "--out", str(tmp_path / "x")]) == 2
-    assert "not allowed with argument --symmetric" in capsys.readouterr().err
+                 "--window-us", "1", "--tail-normalize", "--out", str(tmp_path / "x")]) == 2
+    assert "unrecognized arguments: --tail-normalize" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -703,6 +768,43 @@ def test_window_shorter_than_one_bin_is_refused(tmp_path, scaled_cfg_file, capsy
     assert capsys.readouterr().err.count("shorter than one bin") == 3
     assert not list(tmp_path.glob("**/ch1.mlts1"))
     assert not list(tmp_path.glob("**/*manifest.txt"))
+
+def test_window_with_too_few_fit_bins_is_refused(tmp_path, scaled_cfg_file, capsys):
+    # ceil(window / bin) - exclude_bins < 10 is a configuration error before any
+    # stream is read, simulated or written: missing streams would exit 4
+    streams = [str(tmp_path / "no1"), str(tmp_path / "no2")]
+    assert main(["correlate-fit", *streams, "--window-us", "0.2",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert main(["correlate-fit", *streams, "--window-us", "1", "--exclude-bins", "41",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert main(["correlate-fit", *streams, "--window-us", "0.2", "--exclude-bins", "0",
+                 "--out", str(tmp_path / "x")]) == 4
+    assert main(["pipeline", "--config", str(scaled_cfg_file), "--duration-s", "0.001",
+                 "--bin-ns", "500", "--window-us", "5", "--out-dir", str(tmp_path / "p")]) == 2
+    # the default window, 5 / Gamma_c = 5.3 us, holds 9 bins of 600 ns
+    assert main(["pipeline", "--config", str(scaled_cfg_file), "--duration-s", "0.001",
+                 "--bin-ns", "600", "--out-dir", str(tmp_path / "q")]) == 2
+    assert capsys.readouterr().err.count("the fit needs 10") == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scaled.cfg"]
+
+
+def test_overflowing_photon_bound_is_refused(tmp_path, capsys):
+    # finite values whose rate r = <N> v0 / (sqrt(pi) mode_waist) overflows, or
+    # whose transit time underflows to zero, are refused when the config is loaded
+    for waist, message in (("1e-20", "photon bound"), ("1e-30", "transit time")):
+        cfg = tmp_path / f"big{waist}.cfg"
+        cfg.write_text(SCALED_CFG.replace("v0 = 750", "v0 = 1e300")
+                       .replace("mode_waist = 41e-6", f"mode_waist = {waist}")
+                       .replace("n_max = 256\n", ""))
+        out = tmp_path / "out"
+        assert main(["predict-g2", "--config", str(cfg), "--out", str(out / "g2.csv")]) == 2
+        assert main(["sweep", "--config", str(cfg), "--n-range", "1:3:1",
+                     "--out", str(out / "sweep.csv")]) == 2
+        assert main(["pipeline", "--config", str(cfg), "--duration-s", "0.001",
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.count(message) == 3
+        assert not out.exists()
+
 
 def test_exit_code_numerical_error(tmp_path):
     cfg = tmp_path / "tiny.cfg"
@@ -780,7 +882,6 @@ def test_correlate_fit_reports_the_first_streams_error_first(
     tmp_path, capsys, monkeypatch, first, second, code, named, pool_read_bytes
 ):
     # read at once or one after the other, the error is that of a serial read
-    from microlaser.streams import TimestampStream, write_mlts1
 
     if pool_read_bytes is not None:
         monkeypatch.setattr(cli, "_POOL_READ_BYTES", pool_read_bytes)

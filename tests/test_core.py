@@ -260,6 +260,18 @@ def test_config_validation_errors():
             MicrolaserConfig(**{**good, key: bad})
     with pytest.raises(ConfigError, match="n_atoms_mean must be finite"):
         MicrolaserConfig(**good).with_n_atoms(math.inf)
+    # finite values whose transit time underflows to 0 or overflows, or whose
+    # photon bound 1.1 r / Gamma_c + 10 overflows
+    for bad, message in [
+        (dict(mode_waist=1e-30, v0=1e300), "transit time"),
+        (dict(v0=5e-324), "transit time"),
+        (dict(v0=1e300, mode_waist=1e-20), "photon bound"),
+        (dict(gamma_c=1e-320), "photon bound"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            MicrolaserConfig(**{**good, **bad})
+    with pytest.raises(ConfigError, match="photon bound"):
+        MicrolaserConfig(**good).with_n_atoms(1e306)
 
 
 def test_config_file_roundtrip(tmp_path, published_cfg):

@@ -375,7 +375,7 @@ def test_normalize_trivials():
     assert np.array_equal(normalize(h2).g2, est.g2)
 
 
-def test_normalize_modes_and_errors(monkeypatch):
+def test_normalize_refuses_a_zero_rate():
     counts = np.array([30, 20, 10, 10, 10, 10, 10, 10], dtype=np.int64)
     h = CorrelationHistogram(
         bin_width=1e-3, window=8e-3, counts=counts,
@@ -383,12 +383,6 @@ def test_normalize_modes_and_errors(monkeypatch):
     )
     with pytest.raises(NormalizationError):
         normalize(h)
-    monkeypatch.setattr(correlator_module, "TAIL_FRACTION", 0.5)
-    tail = normalize(h, mode="tail")
-    assert tail.g2[2] == pytest.approx(1.0)
-    assert tail.g2[0] == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        normalize(h, mode="bogus")
 
 
 def _reference_estimate(counts, baseline):
@@ -425,11 +419,6 @@ def test_estimates_match_reference_bits(seed):
     h = correlate(a, b, bin_width, window)
     _assert_estimate_is(
         normalize(h), _reference_estimate(h.counts, h.rate1 * h.rate2 * h.bin_width * h.t_acq)
-    )
-    n_tail = max(1, int(0.25 * h.n_bins))
-    _assert_estimate_is(
-        normalize(h, mode="tail"),
-        _reference_estimate(h.counts, float(h.counts[-n_tail:].mean())),
     )
     _assert_estimate_is(
         g2_symmetric(a, b, bin_width, window), _reference_symmetric(a, b, bin_width, window)

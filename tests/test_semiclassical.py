@@ -13,6 +13,7 @@ from microlaser.core import (
     averaged_beta,
     injection_rate,
     interaction_time,
+    photon_bound,
 )
 from microlaser import semiclassical
 from microlaser.semiclassical import (
@@ -323,7 +324,7 @@ def test_batched_census_matches_scalar_bisection(config_seed, pumps, descending,
     one = cfg.with_n_atoms(n_list[0])
     assert repr(find_fixed_points(one, dist)) == repr(_scalar_fixed_points(one, dist))
     # the census on another grid, against the scalar bisection on that grid
-    (roots,) = semiclassical._roots([one], dist, [semiclassical._scan_max(one)], grid_step)
+    (roots,) = semiclassical._roots([one], dist, [photon_bound(one)], grid_step)
     assert repr(roots) == repr([fp.n0 for fp in _scalar_fixed_points(one, dist, grid_step)])
 
 
