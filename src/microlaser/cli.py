@@ -182,10 +182,10 @@ def _correlate_fit(a, b, bin_width, window, cfg=None, theory=None, symmetric=Fal
         hist = correlator.correlate(a, b, bin_width, window)
         est = correlator.normalize(hist)
     fit = correlator.fit_exponential(est, exclude_below=exclude_bins * bin_width)
-    shot_noise = (correlator.shot_noise_rms(est.rate1, est.rate2, bin_width, est.t_acq)
-                  if est.rate1 > 0 and est.rate2 > 0 else None)
+    # the per-bin rms of g2 at tau = 0 for uncorrelated streams, on this estimate's baseline
     measured = [("rate1_hz", est.rate1), ("rate2_hz", est.rate2), ("t_acq_s", est.t_acq),
-                ("bin_width_s", bin_width), ("window_s", window), ("shot_noise_rms", shot_noise)]
+                ("bin_width_s", bin_width), ("window_s", window),
+                ("shot_noise_rms", 1.0 / math.sqrt(est.normalization))]
     if theory is None:
         return est, fit, _fit_entries(fit, None) + measured
     p, curve, summary = theory
@@ -340,9 +340,12 @@ def cmd_correlate_fit(args):
     return manifest, f"{args.out}.manifest.txt"
 
 
-def _check_window(window: float, bin_ns: float, exclude_bins: int = 1) -> None:
-    """Refuse a correlation window (s) that holds no bin of ``bin_ns``, or too
-    few past the ``exclude_bins`` leading ones for ``fit_exponential``."""
+def _check_window(window: float, bin_ns: float, exclude_bins: int = 1,
+                  duration: float | None = None) -> None:
+    """Refuse a correlation window (s) that holds no bin of ``bin_ns``, too
+    few past the ``exclude_bins`` leading ones for ``fit_exponential``, or,
+    given the run's ``duration``, a last bin that the normalization refuses:
+    one at or past the end of the run, where it expects no pairs."""
     if window < bin_ns * 1e-9:
         raise ConfigError(f"window {window:g} s is shorter than one bin of {bin_ns:g} ns")
     n_fit = correlator.bin_count(bin_ns * 1e-9, window) - exclude_bins
@@ -351,13 +354,15 @@ def _check_window(window: float, bin_ns: float, exclude_bins: int = 1) -> None:
             f"window {window:g} s leaves {n_fit} bins of {bin_ns:g} ns past the "
             f"{exclude_bins} excluded, and the fit needs {correlator.MIN_FIT_BINS}"
         )
+    if duration is not None and correlator._reaches_end(bin_ns * 1e-9, window, duration):
+        raise ConfigError(f"window {window:g} s reaches the end of the {duration:g} s run")
 
 
 def cmd_pipeline(args):
     cfg, dist = _load(args.config, args.quadrature_nodes)
     window = (quantum.DEFAULT_TAU_SPAN_LIFETIMES / cfg.gamma_c if args.window_us is None
               else args.window_us * 1e-6)
-    _check_window(window, args.bin_ns)
+    _check_window(window, args.bin_ns, duration=args.duration_s)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out1 = out_dir / "ch1.mlts1"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +53,8 @@ class MicrolaserConfig:
     detection_efficiency: float = 1.0
     splitter_ratio: float = 0.5
     n_max: int | None = None
+    # sqrt(pi) * mode_waist / v0, set by __post_init__
+    _transit_time: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("g0", "gamma_c", "mode_waist", "v0"):
@@ -76,8 +78,10 @@ class MicrolaserConfig:
             if not isinstance(self.n_max, int) or self.n_max < 1:
                 raise ConfigError(f"n_max must be a positive integer, got {self.n_max}")
         # the rate-equation root scan and the default photon basis reach to
-        # photon_bound, so r and the bound must both be finite
-        t_int = interaction_time(self.v0, self.mode_waist)
+        # photon_bound, so r and the bound must both be finite; the transit
+        # time is interaction_time's expression, formed once without its checks
+        t_int = SQRT_PI * self.mode_waist / self.v0
+        object.__setattr__(self, "_transit_time", t_int)
         if not (0.0 < t_int < math.inf):
             raise ConfigError(
                 f"transit time sqrt(pi) * mode_waist / v0 = {t_int:g} s must be positive and finite"
@@ -122,7 +126,7 @@ def injection_rate(cfg: MicrolaserConfig) -> float:
     transit time at the most probable velocity regardless of spread. This is
     the convention used by every theory and simulation module.
     """
-    return cfg.n_atoms_mean / interaction_time(cfg.v0, cfg.mode_waist)
+    return cfg.n_atoms_mean / cfg._transit_time
 
 
 def photon_bound(cfg: MicrolaserConfig) -> float:

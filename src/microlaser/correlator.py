@@ -60,7 +60,8 @@ keeps it, and keeps every stop the walk has binned. What the bound keeps
 past the last bin lands in bin n_bins or above and is cut off.
 
 One constructor, ``_estimate``, builds every g2 estimate from pair counts
-and a baseline. The module writes no files; ``cli`` formats its results.
+and the one baseline, ``_uncorrelated_pairs``. The module writes no files;
+``cli`` formats its results.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
 
 
 class NormalizationError(MicrolaserError, ValueError):
-    """Raised when a g2 estimate cannot be normalized (zero rate or time)."""
+    """Raised when a g2 estimate cannot be normalized (zero rate or time, or a
+    window that reaches the end of the run)."""
 
 
 @dataclass(frozen=True)
@@ -334,11 +336,7 @@ def merge_histograms(parts) -> CorrelationHistogram:
     first = parts[0]
     total = np.zeros(first.n_bins, dtype=np.int64)
     for h in parts:
-        if (
-            h.bin_width != first.bin_width
-            or h.window != first.window
-            or h.t_acq != first.t_acq
-        ):
+        if (h.bin_width, h.window, h.t_acq) != (first.bin_width, first.window, first.t_acq):
             raise ValueError("histograms must share binning and acquisition time")
         if h.rate2 != first.rate2:
             raise ValueError(
@@ -358,19 +356,8 @@ def merge_histograms(parts) -> CorrelationHistogram:
 
 
 def normalize(h: CorrelationHistogram) -> G2Estimate:
-    """Convert pair counts to g2 with per-bin Poisson sigmas.
-
-    Every bin is divided by the uncorrelated baseline
-    rate1 * rate2 * bin_width * t_acq, which leaves out that a start within
-    tau of the end of the run has no stop at delay tau.
-    """
-    if h.t_acq <= 0.0:
-        raise NormalizationError(f"t_acq must be positive, got {h.t_acq}")
-    if h.rate1 <= 0.0 or h.rate2 <= 0.0:
-        raise NormalizationError(
-            f"undefined normalization: rates ({h.rate1:g}, {h.rate2:g}) must be positive"
-        )
-    return _estimate(h, h.counts, _uncorrelated_pairs(h))
+    """Convert pair counts to g2 over each bin's baseline, with Poisson sigmas."""
+    return _estimate(h, h.counts, 1)
 
 
 def g2_symmetric(
@@ -382,39 +369,51 @@ def g2_symmetric(
     """Average the (a, b) and (b, a) estimates; stationarity makes g2 even in tau."""
     h_ab = correlate(a, b, bin_width, window)
     h_ba = correlate(b, a, bin_width, window)
-    baseline = 2.0 * _uncorrelated_pairs(h_ab)
-    if baseline <= 0.0:
-        raise NormalizationError("undefined normalization: zero rate")
-    return _estimate(h_ab, h_ab.counts + h_ba.counts, baseline)
+    return _estimate(h_ab, h_ab.counts + h_ba.counts, 2)
 
 
-def _uncorrelated_pairs(h: CorrelationHistogram) -> float:
-    """Expected pairs per bin of uncorrelated streams: rate1 * rate2 * bin_width * t_acq."""
-    return h.rate1 * h.rate2 * h.bin_width * h.t_acq
+def _uncorrelated_pairs(rate1, rate2, bin_width, t_acq, window=None):
+    """Pairs that uncorrelated streams give in a bin at delay tau,
+    rate1 * rate2 * bin_width * (t_acq - tau): at tau = 0, or per bin of
+    ``window`` at its centres. A start within tau of the end of the run has
+    no stop at delay tau, a loss linear in tau, so this is exact (Wahl et al.,
+    Opt. Express 11, 3583 (2003)). Refuses a rate, bin width or time <= 0, and
+    a window whose last bin reaches the end of the run and expects no pairs.
+    """
+    if min(rate1, rate2, bin_width, t_acq) <= 0.0:
+        raise NormalizationError(
+            f"undefined normalization: zero rate, bin width or time (rates {rate1:g} and "
+            f"{rate2:g} Hz, bin width {bin_width:g} s, run {t_acq:g} s)"
+        )
+    if window is not None and _reaches_end(bin_width, window, t_acq):
+        raise NormalizationError(
+            f"undefined normalization: window {window:g} s reaches the end of the {t_acq:g} s run"
+        )
+    tau = 0.0 if window is None else (np.arange(bin_count(bin_width, window)) + 0.5) * bin_width
+    return rate1 * rate2 * bin_width * (t_acq - tau)
 
 
-def _estimate(h: CorrelationHistogram, counts: np.ndarray, baseline: float) -> G2Estimate:
-    """g2 = counts / baseline on the bins of ``h``, with Poisson sigmas."""
+def _reaches_end(bin_width: float, window: float, t_acq: float) -> bool:
+    """Whether the centre of the window's last bin is at or past ``t_acq``."""
+    return (bin_count(bin_width, window) - 0.5) * bin_width >= t_acq
+
+
+def _estimate(h: CorrelationHistogram, counts: np.ndarray, copies: int) -> G2Estimate:
+    """g2 of ``counts``, summed over ``copies`` histograms like ``h``, over
+    ``copies`` baselines, with Poisson sigmas; the normalization is at tau = 0."""
+    run = h.rate1, h.rate2, h.bin_width, h.t_acq
+    baseline = copies * _uncorrelated_pairs(*run, h.window)
     c = counts.astype(float)
     return G2Estimate(
-        tau=h.tau_centers,
-        g2=c / baseline,
-        sigma=np.sqrt(c) / baseline,
-        normalization=baseline,
-        counts=counts,
-        bin_width=h.bin_width,
-        window=h.window,
-        t_acq=h.t_acq,
-        rate1=h.rate1,
-        rate2=h.rate2,
+        tau=h.tau_centers, g2=c / baseline, sigma=np.sqrt(c) / baseline,
+        normalization=copies * _uncorrelated_pairs(*run), counts=counts,
+        bin_width=h.bin_width, window=h.window, t_acq=h.t_acq, rate1=h.rate1, rate2=h.rate2,
     )
 
 
 def shot_noise_rms(rate1: float, rate2: float, bin_width: float, t_acq: float) -> float:
-    """Per-bin rms of g2 for uncorrelated streams: 1/sqrt(R1 R2 dtau T)."""
-    if min(rate1, rate2, bin_width, t_acq) <= 0.0:
-        raise ValueError("rates, bin width, and acquisition time must be positive")
-    return 1.0 / math.sqrt(rate1 * rate2 * bin_width * t_acq)
+    """Per-bin rms of g2 for uncorrelated streams at tau = 0: 1/sqrt(R1 R2 dtau T)."""
+    return 1.0 / math.sqrt(_uncorrelated_pairs(rate1, rate2, bin_width, t_acq))
 
 
 def fit_exponential(est: G2Estimate, exclude_below: float | None = None) -> ExpFit:

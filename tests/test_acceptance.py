@@ -7,6 +7,7 @@ lines. Statistical criteria use fixed seeds so the suite is deterministic.
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -328,3 +329,31 @@ def test_criterion_10_throughput(monkeypatch):
         f"2e7 events/channel, 500 bins, {int(h.counts.sum())} pairs in {elapsed:.1f} s "
         f"on 1 worker, {elapsed_all:.1f} s on {cpus}",
     )
+
+
+def test_criterion_11_measured_transition(tmp_path):
+    # pipeline on the published config, 2 ms, seed 1: the measured g2(0) - 1
+    # has the theory's sign, bunched at <N> = 12 and antibunched at <N> = 60,
+    # and lies within 5 fitted sigmas of it. tau_c is not gated: a single
+    # exponential fitted to the multi-exponential curve need not give the
+    # spectrum's tau_c.
+    from microlaser.cli import main
+
+    published = Path(__file__).resolve().parents[1] / "configs" / "published.cfg"
+    details, ok = [], True
+    for n_atoms in (12, 60):
+        text = published.read_text().replace("n_atoms_mean = 158 ", f"n_atoms_mean = {n_atoms} ")
+        assert f"n_atoms_mean = {n_atoms} " in text
+        cfg = tmp_path / f"n{n_atoms}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / f"n{n_atoms}"
+        assert main(["pipeline", "--config", str(cfg), "--duration-s", "0.002", "--seed", "1",
+                     "--out-dir", str(out)]) == 0
+        entries = dict(line.split(" = ", 1)
+                       for line in (out / "report.txt").read_text().splitlines()
+                       if not line.startswith("#"))
+        z_c0 = float(entries["z_c0"]) if entries["z_c0"] != "None" else math.inf
+        ok = ok and entries["sign_match_c0"] == "True" and abs(z_c0) <= 5.0
+        details.append(f"<N> = {n_atoms}: c0 {float(entries['c0']):+.3g} against "
+                       f"{float(entries['c0_theory']):+.3g}, z_c0 {z_c0:+.2f}")
+    report(11, "measured bunching-to-antibunching transition", ok, "; ".join(details))

@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 from microlaser import cli
 from microlaser.cli import main
 from microlaser.core import VelocityDistribution, load_config
-from microlaser.correlator import correlate, g2_symmetric, merge_histograms, normalize
+from microlaser.correlator import (
+    correlate,
+    g2_symmetric,
+    merge_histograms,
+    normalize,
+    shot_noise_rms,
+)
 from microlaser.streams import (
     PS_PER_SECOND,
     TimestampStream,
@@ -786,6 +792,55 @@ def test_window_with_too_few_fit_bins_is_refused(tmp_path, scaled_cfg_file, caps
                  "--bin-ns", "600", "--out-dir", str(tmp_path / "q")]) == 2
     assert capsys.readouterr().err.count("the fit needs 10") == 4
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scaled.cfg"]
+
+
+def test_window_reaching_the_end_of_the_run_is_refused(tmp_path, scaled_cfg_file, capsys):
+    # a last bin centred at or past the end of the run expects no pairs. pipeline
+    # knows its duration up front and refuses it before anything is simulated or
+    # written (exit 2): the default window, 5 / Gamma_c = 5.3 us, in a 0.1 us
+    # run, and a 1.5 ms window in a 1 ms run
+    assert main(["pipeline", "--config", str(scaled_cfg_file), "--duration-s", "1e-7",
+                 "--out-dir", str(tmp_path / "p")]) == 2
+    assert main(["pipeline", "--config", str(scaled_cfg_file), "--duration-s", "0.001",
+                 "--window-us", "1500", "--out-dir", str(tmp_path / "q")]) == 2
+    assert capsys.readouterr().err.count("reaches the end of the") == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scaled.cfg"]
+    # correlate-fit learns the duration from its streams: the normalization
+    # refuses the window (exit 3) and no report is written
+    rng = np.random.default_rng(4)
+    streams = [str(tmp_path / f"ch{channel}.mlts1") for channel in (1, 2)]
+    for channel, path in enumerate(streams, start=1):
+        write_mlts1(TimestampStream(np.sort(rng.uniform(0.0, 1e-3, 2_000)), channel, 1e-3), path)
+    for window_us, code in (("1000", 0), ("1000.4", 3)):
+        out = tmp_path / f"fit{window_us}.txt"
+        assert main(["correlate-fit", *streams, "--bin-ns", "1000", "--window-us", window_us,
+                     "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+    assert "reaches the end of the 0.001 s run" in capsys.readouterr().err
+
+
+def test_shot_noise_is_read_off_the_estimates_baseline(tmp_path):
+    # shot_noise_rms is 1 / sqrt(normalization) on both routes; --symmetric sums
+    # two histograms over twice the baseline, so its rms is the default's / sqrt(2)
+    rng = np.random.default_rng(12)
+    streams = []
+    for channel in (1, 2):
+        streams.append(tmp_path / f"ch{channel}.mlts1")
+        times = np.sort(rng.uniform(0.0, 1e-2, 20_000))
+        write_mlts1(TimestampStream(times, channel, 1e-2), streams[-1])
+    noise = {}
+    for name, flags in (("plain", []), ("symmetric", ["--symmetric"])):
+        report, g2_csv = tmp_path / f"{name}.txt", tmp_path / f"{name}.csv"
+        assert main(["correlate-fit", *map(str, streams), "--bin-ns", "100", "--window-us", "10",
+                     *flags, "--g2-csv", str(g2_csv), "--out", str(report)]) == 0
+        entries = dict(l.split(" = ", 1) for l in body_lines(report))
+        header = dict(l[2:].split(" = ", 1) for l in header_lines(g2_csv))
+        noise[name] = float(entries["shot_noise_rms"])
+        assert noise[name] == 1.0 / math.sqrt(float(header["normalization"]))
+    a, b = read_stream(streams[0]), read_stream(streams[1])
+    assert noise["plain"] == shot_noise_rms(a.count / a.duration, b.count / b.duration, 100 * 1e-9,
+                                            a.duration)
+    assert noise["symmetric"] == pytest.approx(noise["plain"] / math.sqrt(2.0), rel=1e-12)
 
 
 def test_overflowing_photon_bound_is_refused(tmp_path, capsys):

@@ -358,21 +358,24 @@ def test_poisson_baseline_and_chi_square():
 
 
 def test_normalize_trivials():
-    counts = np.full(8, 10_000, dtype=np.int64)
-    h = CorrelationHistogram(
-        bin_width=1e-3, window=8e-3, counts=counts,
-        rate1=1000.0, rate2=1000.0, t_acq=10.0,
-    )
-    est = normalize(h)
-    assert np.all(est.g2 == 1.0)
-    assert np.all(est.sigma == pytest.approx(0.01, rel=1e-12))
-    assert est.tau.tolist() == [(i + 0.5) * 1e-3 for i in range(8)]
-    # doubling acquisition with proportional counts leaves g2 unchanged
-    h2 = CorrelationHistogram(
-        bin_width=1e-3, window=8e-3, counts=2 * counts,
-        rate1=1000.0, rate2=1000.0, t_acq=20.0,
-    )
-    assert np.array_equal(normalize(h2).g2, est.g2)
+    # binary bin width and rates: the baseline 2048 * 1024 * bin_width * (t_acq - tau)
+    # of each bin is an exact integer, 2 * 1024 * t_acq - 2 i - 1
+    bin_width = 2.0**-10
+    tau = (np.arange(8) + 0.5) * bin_width
+    for t_acq in (10.0, 20.0):
+        baseline = 2048.0 * 1024.0 * bin_width * (t_acq - tau)
+        counts = baseline.astype(np.int64)
+        assert np.array_equal(counts, baseline)
+        h = CorrelationHistogram(
+            bin_width=bin_width, window=8 * bin_width, counts=counts,
+            rate1=2048.0, rate2=1024.0, t_acq=t_acq,
+        )
+        est = normalize(h)
+        # counts that follow the baseline give g2 = 1 at any acquisition time
+        assert np.all(est.g2 == 1.0)
+        assert np.all(est.sigma == pytest.approx(1.0 / np.sqrt(counts), rel=1e-12))
+        assert est.tau.tolist() == [(i + 0.5) * bin_width for i in range(8)]
+        assert est.normalization == 2048.0 * 1024.0 * bin_width * t_acq
 
 
 def test_normalize_refuses_a_zero_rate():
@@ -385,28 +388,22 @@ def test_normalize_refuses_a_zero_rate():
         normalize(h)
 
 
-def _reference_estimate(counts, baseline):
-    """g2, sigma, counts and normalization as normalize built them in place."""
+def _reference_estimate(h, counts, copies):
+    """g2, sigma, counts and normalization of ``counts``, the sum of ``copies``
+    histograms like ``h``: copies * rate1 * rate2 * bin_width * (t_acq - tau)
+    per bin, multiplied left to right, and its value at tau = 0."""
+    baseline = copies * h.rate1 * h.rate2 * h.bin_width * (h.t_acq - h.tau_centers)
+    normalization = copies * h.rate1 * h.rate2 * h.bin_width * h.t_acq
     c = counts.astype(float)
-    return c / baseline, np.sqrt(c) / baseline, counts, baseline
-
-
-def _reference_symmetric(a, b, bin_width, window):
-    """g2_symmetric as it built its estimate in place: summed counts over
-    2 * rate1 * rate2 * bin_width * t_acq, multiplied left to right."""
-    h_ab = correlate(a, b, bin_width, window)
-    h_ba = correlate(b, a, bin_width, window)
-    counts = h_ab.counts + h_ba.counts
-    baseline = 2.0 * h_ab.rate1 * h_ab.rate2 * bin_width * h_ab.t_acq
-    return counts / baseline, np.sqrt(counts.astype(float)) / baseline, counts, baseline
+    return c / baseline, np.sqrt(c) / baseline, counts, normalization
 
 
 def _assert_estimate_is(est, reference):
-    g2, sigma, counts, baseline = reference
+    g2, sigma, counts, normalization = reference
     assert np.array_equal(est.g2, g2)
     assert np.array_equal(est.sigma, sigma)
     assert np.array_equal(est.counts, counts) and est.counts.dtype == np.int64
-    assert est.normalization == baseline
+    assert est.normalization == normalization
 
 
 @pytest.mark.parametrize("seed", [3, 17, 29])
@@ -417,12 +414,46 @@ def test_estimates_match_reference_bits(seed):
     b = poisson_stream(rng, rng.uniform(1e3, 5e4), duration, 2)
     bin_width, window = rng.uniform(1e-6, 4e-6), rng.uniform(2e-4, 6e-4)
     h = correlate(a, b, bin_width, window)
+    _assert_estimate_is(normalize(h), _reference_estimate(h, h.counts, 1.0))
+    h_ba = correlate(b, a, bin_width, window)
     _assert_estimate_is(
-        normalize(h), _reference_estimate(h.counts, h.rate1 * h.rate2 * h.bin_width * h.t_acq)
+        g2_symmetric(a, b, bin_width, window), _reference_estimate(h, h.counts + h_ba.counts, 2.0)
     )
-    _assert_estimate_is(
-        g2_symmetric(a, b, bin_width, window), _reference_symmetric(a, b, bin_width, window)
+
+
+def test_uncorrelated_estimate_has_no_tilt():
+    # a window of half the run: with the baseline R1 R2 dtau T at every delay,
+    # g2 of uncorrelated streams would fall as 1 - tau / T. Bins share starts
+    # and stops, so the slope's error is taken from its spread over 20 seeds.
+    duration, slopes = 1.0, []
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        a = poisson_stream(rng, 1e3, duration, 1)
+        b = poisson_stream(rng, 1e3, duration, 2)
+        est = normalize(correlate(a, b, 5e-3, duration / 2))
+        slopes.append(np.polyfit(est.tau, est.g2, 1)[0])
+    mean, sem = np.mean(slopes), np.std(slopes, ddof=1) / math.sqrt(len(slopes))
+    assert sem < 0.05 / duration
+    assert abs(mean) <= 3.0 * sem
+
+
+def test_window_reaching_the_end_of_the_run_is_refused():
+    # the last bin's centre, (n_bins - 1/2) * bin_width, at or past t_acq
+    for window, t_acq in ((8e-3, 7.5e-3), (8e-3, 7e-3), (1e-3, 0.5e-3)):
+        h = CorrelationHistogram(
+            bin_width=1e-3, window=window, counts=np.ones(round(window / 1e-3), dtype=np.int64),
+            rate1=1e3, rate2=1e3, t_acq=t_acq,
+        )
+        with pytest.raises(NormalizationError, match="reaches the end of the"):
+            normalize(h)
+    h = CorrelationHistogram(
+        bin_width=1e-3, window=8e-3, counts=np.ones(8, dtype=np.int64),
+        rate1=1e3, rate2=1e3, t_acq=np.nextafter(7.5e-3, 1.0),
     )
+    assert np.all(normalize(h).g2 > 0.0)
+    a = TimestampStream(np.array([0.1, 0.2]), 1, 0.25)
+    with pytest.raises(NormalizationError, match="reaches the end of the"):
+        g2_symmetric(a, a, 1e-2, 0.3)
 
 
 def test_symmetric_rejects_a_silent_channel():
