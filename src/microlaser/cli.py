@@ -13,10 +13,14 @@ g2 estimate, its fit and the report lines out, with the Q estimates and the
 theory comparison when a config is given; the same files get the same verdict.
 
 This module alone writes artifacts: it owns the CSV and report formats and
-the run record (``RunManifest``) written beside each output. Each command
-builds its record from its parsed options with ``RunManifest.of`` and returns
-it with the record's path; ``main`` times the command, from its config load to
-its last artifact, and writes the record.
+the run record (``RunManifest``) written beside each output. ``main`` is the
+one front door: it loads the config and velocity quadrature, names the files
+the command line writes and its record's path (``_outputs``), builds the
+record from the parsed options with ``RunManifest.of``, and times the command,
+from its config load to its last artifact, and writes the record. Each
+``cmd_*`` takes ``(args, cfg, dist, manifest)`` and does only its own work.
+A command that fails after writing an output still gets its record, with the
+status, exit code, error and the files it wrote.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical/truncation error,
 4 I/O error.
@@ -100,10 +104,11 @@ class RunManifest:
             entries.append(("seed", self.options["seed"]))
         return entries + [(f"config.{k}", v) for k, v in self.config_snapshot.items()]
 
-    def write(self, path) -> None:
+    def write(self, path, failure=()) -> None:
+        """The record, closed by the unhashed ``failure`` lines of a failed run."""
         entries = self.entries() + [(f"option.{k}", v) for k, v in self.options.items()]
         entries += [("output", name) for name in self.outputs]
-        _write_report(path, (), entries + [("wall_clock_s", self.wall_clock_s)])
+        _write_report(path, (), entries + [("wall_clock_s", self.wall_clock_s), *failure])
 
 
 def _render(value) -> str:
@@ -176,6 +181,9 @@ def _correlate_fit(a, b, bin_width, window, cfg=None, theory=None, symmetric=Fal
     """The g2 estimate of streams a and b, its exponential fit, and the report
     entries: the fit, the measurement and, given ``theory`` (``_theory`` of
     ``cfg``), the Q estimates and the comparison with that theory."""
+    # the streams' duration is known: refuse a window the normalization would
+    # refuse before counting its pairs
+    correlator._refuse_end(bin_width, window, a.duration)
     if symmetric:
         est = correlator.g2_symmetric(a, b, bin_width, window)
     else:
@@ -219,12 +227,6 @@ def _parse_n_range(text: str) -> list[float]:
     raise ConfigError(f"bad n-range {text!r}: expected 'a:b:step' or a single number")
 
 
-def _load(config_path, quadrature_nodes: int):
-    cfg = load_config(config_path)
-    dist = VelocityDistribution.from_config(cfg, n_nodes=quadrature_nodes)
-    return cfg, dist
-
-
 def _read_pair(path1, path2):
     """Both streams. A second stream of at least _POOL_READ_BYTES is read on a
     pool thread while this one reads the first. The first stream's error
@@ -243,18 +245,25 @@ def _read_pair(path1, path2):
         return first, second.result()
 
 
+def _stat(path):
+    """What changes when ``path`` is created or rewritten; None if it is missing."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
 def _fmt(value, precision=".10g") -> str:
     if value is None:
         return "nan"
     return format(value, precision)
 
 
-def cmd_sweep(args):
-    cfg, dist = _load(args.config, args.quadrature_nodes)
+def cmd_sweep(args, cfg, dist, manifest):
     n_list = _parse_n_range(args.n_range)
     if args.direction == "down":
         n_list = list(reversed(n_list))
-    manifest = RunManifest.of(args, cfg, [args.out])
     result = semiclassical.sweep(cfg, dist, n_list, args.direction)
     rows = []
     for pt in result.points:
@@ -276,17 +285,13 @@ def cmd_sweep(args):
         "N_mean,n0_selected,n_mean_quantum,Q_quantum,tau_c_quantum_s,tau_c_semiclassical_s",
         rows,
     )
-    return manifest, f"{args.out}.manifest.txt"
 
 
-def cmd_predict_g2(args):
-    cfg, dist = _load(args.config, args.quadrature_nodes)
+def cmd_predict_g2(args, cfg, dist, manifest):
     theory = _theory(cfg, dist)
     if theory is None:
         raise ConfigError("predict-g2 needs a nonempty steady state (n_atoms_mean > 0)")
     p, curve, summary = theory
-
-    manifest = RunManifest.of(args, cfg, [args.out])
     header = manifest.entries() + [
         ("n_mean", p.mean), ("mandel_q_moments", p.mandel_q), ("c0", summary.c0),
         ("tau_c_s", summary.tau_c), ("q_from_fit", summary.q), ("plateau", summary.plateau),
@@ -294,14 +299,10 @@ def cmd_predict_g2(args):
     ] + _basis_entries(cfg, p, curve)
     rows = (f"{t:.17g},{v:.17g}\n" for t, v in zip(curve.tau, curve.values))
     _write_table(args.out, header, "tau_seconds,g2", rows)
-    return manifest, f"{args.out}.manifest.txt"
 
 
-def cmd_simulate(args):
-    cfg, dist = _load(args.config, args.quadrature_nodes)
-    out1, out2, path_csv = (f"{args.out_prefix}.{name}"
-                            for name in ("ch1.mlts1", "ch2.mlts1", "path.csv"))
-    manifest = RunManifest.of(args, cfg, [out1, out2] + ([path_csv] if args.path_csv else []))
+def cmd_simulate(args, cfg, dist, manifest):
+    out1, out2, *path_csv = manifest.outputs
     rec = trajectory.simulate(cfg, dist, duration=args.duration_s, seed=args.seed,
                               initial_n=args.cold_start, record_path=args.path_csv)
 
@@ -313,31 +314,24 @@ def cmd_simulate(args):
                         rec.path_values[i : i + PATH_CSV_BLOCK].tolist()))
             for i in range(0, rec.path_times.size, PATH_CSV_BLOCK)
         )
-        _write_table(path_csv, manifest.entries(), "time_s,n", blocks)
+        _write_table(path_csv[0], manifest.entries(), "time_s,n", blocks)
     print(
         f"simulate: duration {rec.duration:g} s, atoms {rec.atoms_injected}, "
         f"emissions {rec.emissions}, decays {rec.decays}, detections {rec.detections} "
         f"(ch1 {rec.stream1.count}, ch2 {rec.stream2.count})"
     )
-    return manifest, f"{args.out_prefix}.manifest.txt"
 
 
-def cmd_correlate_fit(args):
+def cmd_correlate_fit(args, cfg, dist, manifest):
     a, b = _read_pair(args.stream1, args.stream2)
-    cfg = theory = None
-    if args.config is not None:
-        cfg, dist = _load(args.config, args.quadrature_nodes)
-        theory = _theory(cfg, dist)
+    theory = _theory(cfg, dist) if cfg is not None else None
     est, _, entries = _correlate_fit(
         a, b, args.bin_ns * 1e-9, args.window_us * 1e-6, cfg, theory, symmetric=args.symmetric,
         exclude_bins=args.exclude_bins,
     )
-
-    manifest = RunManifest.of(args, cfg, [name for name in (args.out, args.g2_csv) if name])
     _write_report(args.out, manifest.entries(), entries)
     if args.g2_csv:
         _write_estimate(args.g2_csv, manifest.entries(), est)
-    return manifest, f"{args.out}.manifest.txt"
 
 
 def _check_window(window: float, bin_ns: float, exclude_bins: int = 1,
@@ -358,18 +352,12 @@ def _check_window(window: float, bin_ns: float, exclude_bins: int = 1,
         raise ConfigError(f"window {window:g} s reaches the end of the {duration:g} s run")
 
 
-def cmd_pipeline(args):
-    cfg, dist = _load(args.config, args.quadrature_nodes)
+def cmd_pipeline(args, cfg, dist, manifest):
     window = (quantum.DEFAULT_TAU_SPAN_LIFETIMES / cfg.gamma_c if args.window_us is None
               else args.window_us * 1e-6)
     _check_window(window, args.bin_ns, duration=args.duration_s)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out1 = out_dir / "ch1.mlts1"
-    out2 = out_dir / "ch2.mlts1"
-    g2_csv_path = out_dir / "g2.csv"
-    report_path = out_dir / "report.txt"
-    manifest = RunManifest.of(args, cfg, [out1, out2, g2_csv_path, report_path])
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    out1, out2, g2_csv_path, report_path = manifest.outputs
 
     stage = "theory"
     try:
@@ -411,7 +399,20 @@ def cmd_pipeline(args):
         f"pipeline: {theory_tau} vs {fitted_tau} (z={z_text}), theory Q {summary.q:+.4g} vs "
         f"Q_from_C0 {report['q_from_c0']:+.4g}"
     )
-    return manifest, out_dir / "manifest.txt"
+
+
+def _outputs(args):
+    """The files the command line ``args`` writes, in its record's order, and
+    the path of that record."""
+    if args.command == "pipeline":
+        out_dir = Path(args.out_dir)
+        names = ("ch1.mlts1", "ch2.mlts1", "g2.csv", "report.txt")
+        return [out_dir / name for name in names], out_dir / "manifest.txt"
+    if args.command == "simulate":
+        names = ("ch1.mlts1", "ch2.mlts1") + (("path.csv",) if args.path_csv else ())
+        return [f"{args.out_prefix}.{name}" for name in names], f"{args.out_prefix}.manifest.txt"
+    outputs = [args.out] + ([args.g2_csv] if getattr(args, "g2_csv", None) else [])
+    return outputs, f"{args.out}.manifest.txt"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -422,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", required=True, help="flat key = value configuration file")
+    def add_common(p, required=True, config_help="flat key = value configuration file"):
+        p.add_argument("--config", required=required, help=config_help)
         p.add_argument(
             "--quadrature-nodes", type=int, default=64,
             help="velocity quadrature node count (default 64)",
@@ -460,11 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-us", type=float, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--g2-csv", default=None, help="also write the normalized g2 estimate")
-    p.add_argument("--config", default=None, help="optional config for Q extraction")
-    p.add_argument(
-        "--quadrature-nodes", type=int, default=64,
-        help="velocity quadrature node count (default 64)",
-    )
+    add_common(p, required=False, config_help="optional config for Q extraction")
     p.add_argument("--symmetric", action="store_true", help="average (a,b) and (b,a) histograms")
     p.add_argument(
         "--exclude-bins", type=int, default=1,
@@ -491,6 +488,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse uses 2 for usage errors, which matches our config-error code
         return int(exc.code) if exc.code else EXIT_OK
+    manifest = None
     try:
         # values that no config makes valid are refused before any input is read
         if args.quadrature_nodes < 1:
@@ -505,21 +503,39 @@ def main(argv=None) -> int:
                 )
         if args.command == "correlate-fit":
             _check_window(args.window_us * 1e-6, args.bin_ns, args.exclude_bins)
+        outputs, record_path = _outputs(args)
+        before = [_stat(path) for path in outputs]
         # one clock per command line, from its config load to its last artifact
         t0 = time.perf_counter()
-        manifest, manifest_path = args.func(args)
+        cfg = dist = None
+        if args.config is not None:
+            cfg = load_config(args.config)
+            dist = VelocityDistribution.from_config(cfg, n_nodes=args.quadrature_nodes)
+        manifest = RunManifest.of(args, cfg, outputs)
+        args.func(args, cfg, dist, manifest)
         manifest.wall_clock_s = time.perf_counter() - t0
-        manifest.write(manifest_path)
+        manifest.write(record_path)
         return EXIT_OK
-    except ConfigError as exc:
-        print(f"microlaser {args.command}: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"microlaser {args.command}: I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (MicrolaserError, ValueError, ArithmeticError) as exc:
-        print(f"microlaser {args.command}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except (OSError, MicrolaserError, ValueError, ArithmeticError) as exc:
+        code, kind = (
+            (EXIT_CONFIG, "configuration error: ") if isinstance(exc, ConfigError)
+            else (EXIT_IO, "I/O error: ") if isinstance(exc, OSError)
+            else (EXIT_NUMERICAL, "")
+        )
+        message = f"microlaser {args.command}: {kind}{exc}"
+        print(message, file=sys.stderr)
+        # files the run wrote before it failed keep the record of their command line
+        written = [] if manifest is None else [
+            path for path, stat in zip(outputs, before) if _stat(path) != stat
+        ]
+        if written:
+            manifest.wall_clock_s = time.perf_counter() - t0
+            failure = [("status", "failed"), ("exit_code", code), ("error", message)]
+            try:
+                manifest.write(record_path, failure + [("written", path) for path in written])
+            except OSError as record_exc:
+                print(f"microlaser {args.command}: I/O error: {record_exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -385,10 +385,8 @@ def _uncorrelated_pairs(rate1, rate2, bin_width, t_acq, window=None):
             f"undefined normalization: zero rate, bin width or time (rates {rate1:g} and "
             f"{rate2:g} Hz, bin width {bin_width:g} s, run {t_acq:g} s)"
         )
-    if window is not None and _reaches_end(bin_width, window, t_acq):
-        raise NormalizationError(
-            f"undefined normalization: window {window:g} s reaches the end of the {t_acq:g} s run"
-        )
+    if window is not None:
+        _refuse_end(bin_width, window, t_acq)
     tau = 0.0 if window is None else (np.arange(bin_count(bin_width, window)) + 0.5) * bin_width
     return rate1 * rate2 * bin_width * (t_acq - tau)
 
@@ -396,6 +394,15 @@ def _uncorrelated_pairs(rate1, rate2, bin_width, t_acq, window=None):
 def _reaches_end(bin_width: float, window: float, t_acq: float) -> bool:
     """Whether the centre of the window's last bin is at or past ``t_acq``."""
     return (bin_count(bin_width, window) - 0.5) * bin_width >= t_acq
+
+
+def _refuse_end(bin_width: float, window: float, t_acq: float) -> None:
+    """Refuse a window whose last bin reaches the end of the run, where the
+    normalization expects no pairs."""
+    if _reaches_end(bin_width, window, t_acq):
+        raise NormalizationError(
+            f"undefined normalization: window {window:g} s reaches the end of the {t_acq:g} s run"
+        )
 
 
 def _estimate(h: CorrelationHistogram, counts: np.ndarray, copies: int) -> G2Estimate:

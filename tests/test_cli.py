@@ -794,7 +794,8 @@ def test_window_with_too_few_fit_bins_is_refused(tmp_path, scaled_cfg_file, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scaled.cfg"]
 
 
-def test_window_reaching_the_end_of_the_run_is_refused(tmp_path, scaled_cfg_file, capsys):
+def test_window_reaching_the_end_of_the_run_is_refused(tmp_path, scaled_cfg_file, capsys,
+                                                        monkeypatch):
     # a last bin centred at or past the end of the run expects no pairs. pipeline
     # knows its duration up front and refuses it before anything is simulated or
     # written (exit 2): the default window, 5 / Gamma_c = 5.3 us, in a 0.1 us
@@ -805,18 +806,27 @@ def test_window_reaching_the_end_of_the_run_is_refused(tmp_path, scaled_cfg_file
                  "--window-us", "1500", "--out-dir", str(tmp_path / "q")]) == 2
     assert capsys.readouterr().err.count("reaches the end of the") == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scaled.cfg"]
-    # correlate-fit learns the duration from its streams: the normalization
-    # refuses the window (exit 3) and no report is written
+    # correlate-fit learns the duration from its streams and refuses the window
+    # as the normalization would (exit 3), before it counts a pair, on both routes
     rng = np.random.default_rng(4)
     streams = [str(tmp_path / f"ch{channel}.mlts1") for channel in (1, 2)]
     for channel, path in enumerate(streams, start=1):
         write_mlts1(TimestampStream(np.sort(rng.uniform(0.0, 1e-3, 2_000)), channel, 1e-3), path)
-    for window_us, code in (("1000", 0), ("1000.4", 3)):
-        out = tmp_path / f"fit{window_us}.txt"
-        assert main(["correlate-fit", *streams, "--bin-ns", "1000", "--window-us", window_us,
-                     "--out", str(out)]) == code
-        assert out.exists() == (code == 0)
-    assert "reaches the end of the 0.001 s run" in capsys.readouterr().err
+    assert main(["correlate-fit", *streams, "--bin-ns", "1000", "--window-us", "1000",
+                 "--out", str(tmp_path / "fit.txt")]) == 0
+
+    def no_correlate(*args):
+        raise AssertionError("correlate was called")
+
+    monkeypatch.setattr(cli.correlator, "correlate", no_correlate)
+    for flags in ([], ["--symmetric"]):
+        out = tmp_path / "end.txt"
+        assert main(["correlate-fit", *streams, "--bin-ns", "1000", "--window-us", "1000.4",
+                     *flags, "--out", str(out)]) == 3
+        assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("undefined normalization: window 0.0010004 s reaches the end of the "
+                     "0.001 s run") == 2
 
 
 def test_shot_noise_is_read_off_the_estimates_baseline(tmp_path):
@@ -961,6 +971,56 @@ def test_exit_code_io_error(tmp_path, scaled_cfg_file):
     out = tmp_path / "no" / "such" / "dir" / "x.csv"
     code = main(["predict-g2", "--config", str(scaled_cfg_file), "--out", str(out)])
     assert code == 4
+    # a run that wrote nothing leaves no record
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["scaled.cfg"]
+
+
+def test_failed_pipeline_records_what_it_wrote(tmp_path):
+    # no detection in 2 ms: both streams are written, then the normalization
+    # refuses zero rates at the correlate-fit stage
+    cfg = tmp_path / "dim.cfg"
+    cfg.write_text((CONFIGS / "scaled.cfg").read_text().replace(
+        "detection_efficiency = 1.0", "detection_efficiency = 1e-9"))
+    out_dir = tmp_path / "p"
+    argv = ["pipeline", "--config", str(cfg), "--duration-s", "0.002", "--out-dir", str(out_dir)]
+    assert main(argv) == 3
+    assert sorted(p.name for p in out_dir.iterdir()) == ["ch1.mlts1", "ch2.mlts1", "manifest.txt"]
+    record = [tuple(l.split(" = ", 1)) for l in (out_dir / "manifest.txt").read_text().splitlines()]
+    args = cli.build_parser().parse_args(argv)
+    outputs, _ = cli._outputs(args)
+    assert dict(record)["manifest_hash"] == cli.RunManifest.of(args, load_config(cfg),
+                                                               outputs).hash()
+    assert [v for k, v in record if k == "output"] == [str(p) for p in outputs]
+    keys = [k for k, _ in record]
+    assert keys[keys.index("wall_clock_s") + 1:] == ["status", "exit_code", "error", "written",
+                                                     "written"]
+    failure = dict(record[keys.index("status"):keys.index("written")])
+    assert failure["status"] == "failed" and failure["exit_code"] == "3"
+    assert failure["error"].startswith(
+        "microlaser pipeline: pipeline stage 'correlate-fit': undefined normalization: zero rate")
+    assert [v for k, v in record if k == "written"] == [str(out_dir / "ch1.mlts1"),
+                                                        str(out_dir / "ch2.mlts1")]
+
+
+def test_an_unwritable_record_is_an_io_error(tmp_path, scaled_cfg_file, capsys):
+    # the streams are written, then neither the record nor its failed form can be
+    (tmp_path / "sim.manifest.txt").mkdir()
+    assert main(["simulate", "--config", str(scaled_cfg_file), "--duration-s", "0.0001",
+                 "--out-prefix", str(tmp_path / "sim")]) == 4
+    assert capsys.readouterr().err.count("I/O error: [Errno 21] Is a directory") == 2
+    assert not list((tmp_path / "sim.manifest.txt").iterdir())
+
+
+def test_correlate_fit_loads_its_config_before_its_streams(tmp_path, monkeypatch):
+    def no_read(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(cli, "read_stream", no_read)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SCALED_CFG.replace("gamma_c_hz = 150e3", "gamma_c_hz = inf"))
+    assert main(["correlate-fit", str(tmp_path / "no1"), str(tmp_path / "no2"),
+                 "--window-us", "1", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
 
 
 def test_usage_error_exit_code():
