@@ -336,19 +336,25 @@ def cmd_correlate_fit(args, cfg, dist, manifest):
 
 def _check_window(window: float, bin_ns: float, exclude_bins: int = 1,
                   duration: float | None = None) -> None:
-    """Refuse a correlation window (s) that holds no bin of ``bin_ns``, too
-    few past the ``exclude_bins`` leading ones for ``fit_exponential``, or,
-    given the run's ``duration``, a last bin that the normalization refuses:
-    one at or past the end of the run, where it expects no pairs."""
-    if window < bin_ns * 1e-9:
+    """Refuse a correlation window (s) that holds no bin of ``bin_ns``, more
+    than ``correlator.MAX_BINS``, too few past the ``exclude_bins`` leading
+    ones for ``fit_exponential``, or, given the run's ``duration``, a last bin
+    that the normalization refuses: one at or past the end of the run, where
+    it expects no pairs."""
+    bin_width = bin_ns * 1e-9
+    if window < bin_width:
         raise ConfigError(f"window {window:g} s is shorter than one bin of {bin_ns:g} ns")
-    n_fit = correlator.bin_count(bin_ns * 1e-9, window) - exclude_bins
+    if correlator._too_many_bins(bin_width, window):
+        raise ConfigError(
+            f"window {window:g} s holds more than {correlator.MAX_BINS} bins of {bin_ns:g} ns"
+        )
+    n_fit = correlator.bin_count(bin_width, window) - exclude_bins
     if n_fit < correlator.MIN_FIT_BINS:
         raise ConfigError(
             f"window {window:g} s leaves {n_fit} bins of {bin_ns:g} ns past the "
             f"{exclude_bins} excluded, and the fit needs {correlator.MIN_FIT_BINS}"
         )
-    if duration is not None and correlator._reaches_end(bin_ns * 1e-9, window, duration):
+    if duration is not None and correlator._reaches_end(bin_width, window, duration):
         raise ConfigError(f"window {window:g} s reaches the end of the {duration:g} s run")
 
 

@@ -8,20 +8,38 @@ how the start stream is partitioned.
 
 Each step works on data that fits in cache. Starts are taken in chunks of
 ``DEFAULT_CHUNK``. Two scalar searches bound the only stops that can pair
-with a chunk, those in [s[0], s[-1] + reach], and each start's first stop is
-searched in that slice, which is about one chunk long, instead of in the
-whole stream; the same comparisons give the same bounds. A chunk whose m
-stops give at most ``WALK_STEPS`` per window on average,
-m * reach / (s[-1] - s[0] + reach), then walks: each step bins the next stop
-of every start still inside its window, and a start drops out once a stop
-lands past the last bin or the slice ends. At sparse densities most windows
-hold 0-2 stops, and a step costs a few ns per start where a search costs
-about 20. The starts still inside their window after the walk, and every
-start of a denser chunk, search where their window ends, and their pairs are
-materialized at most ``PAIR_BATCH`` at a time (a start with more stops than
-that is taken whole): one stop index and one delay per pair, 256 kB per
-array at 2**15 pairs. The slice stays a view of the stop stream, so a chunk
-of sparse starts against a long stop stream copies nothing.
+with a chunk, those in [s[0], s[-1] + reach]; the starts past the slice's
+last stop have none and are cut off. A chunk whose m stops give at most
+``WALK_STEPS`` per window on average, m * reach / (s[-1] - s[0] + reach),
+finds each start's first stop through a bucket index of its slice, then
+walks: each step bins the next stop of every start still inside its window,
+and a start drops out once a stop lands past the last bin or the slice ends.
+At sparse densities most windows hold 0-2 stops, and a step costs a few ns
+per start where a search costs about 20. The starts still inside their
+window after the walk, and every start of a denser chunk, which searches for
+its first stops, search where their window ends. Their pairs are counted
+``_PAIR_STARTS`` starts at a time and materialized at most ``PAIR_BATCH`` at
+a time (a start with more stops than that is taken whole): one stop index
+and one delay per pair, 256 kB per array at 2**15 pairs. The slice stays a
+view of the stop stream, so a chunk of sparse starts against a long stop
+stream copies nothing.
+
+The bucket index puts a time x in cell int((x - s[0]) * m / span), with
+span = near[-1] - s[0] over the slice ``near``. Float subtraction of a
+constant, multiplication by a positive constant and truncation are
+monotone, so the cell does not decrease with x, and every stop in a lower
+cell than a start lies below it. A ``bincount`` and a ``cumsum`` over the
+stop cells give the first stop of each cell, at or below the first stop of
+every start in it. The starts step forward past stops below them at most
+``_BUCKET_STEPS`` times, and those still behind are searched, so the index
+gives the left search exactly. On the correlate-file streams 68.1 % of the
+starts take no step, 25.7 % one, 5.5 % two and 0.79 % are searched. Without
+the bound, a chunk with 30,000 stops inside 1 us and one more 1 s later puts
+the burst in one cell, and its starts would step through it stop by stop.
+The index costs O(m), so it is built only where the slice holds at most
+``_BUCKET_LOAD`` stops per start and m / span is finite and positive: the
+benchmark's oracle, 20,000 random starts against 10 M stops, searches. A
+dense chunk spends its time on pairs, not on its first stops.
 
 The chunks are shared out over one worker per usable CPU (the process's
 scheduler affinity, or ``os.cpu_count()`` where that is not available,
@@ -33,18 +51,26 @@ pool is started. If one share raises, or is interrupted, the other workers
 stop at their next chunk. Each share adds into its own int64 counts, and
 integer sums do not depend on order, so the histogram is the same for any
 number of workers. numpy releases the interpreter lock in its searches and
-in most of its passes over arrays, which is where the second core pays. On
-32 k-element calls on a 2-core VM, two threads did 1.95x the work of one in
-``searchsorted``, about 1.7x in ``take``, 1.5-1.8x in arithmetic ufuncs and
-1.4-1.7x in ``astype``, but 1.15-1.23x in ``bincount`` and ``ufunc.at`` and
-0.92x in ``repeat``, which hold the lock. The pair batches of a dense chunk
-take two ``repeat`` calls and one ``bincount``, so dense streams gain least. A
-worker runs only private code and numpy, so a tracer that wraps the public
-functions sees one ``correlate`` span. The pair budget is per worker and
-small because each worker thread allocates from its own malloc arena, which
-stays resident after the call, up to the most the worker held at once, under
-the next allocation peak of the process: at 2**17 pairs per worker that
-raised the peak memory of a pipeline run by about 15 %, at 2**15 by 0-4 %.
+in some of its passes over arrays, which is where the second core pays, and
+short calls lose it to the lock. On a 2-core VM, two threads did this many
+times the work of one (8,192 / 32,768-element calls): ``searchsorted`` 1.85
+/ 1.83, ``cumsum`` 1.67 / 1.83, ``bincount`` 0.74 / 1.38, ``take`` 0.97 /
+1.18, ``astype`` 0.68 / 1.38, ``flatnonzero`` 0.58 / 1.58, a subtraction
+0.91 / 1.57 and ``repeat`` 0.85 / 0.81. Hence chunks of 2**15 starts: at
+2**13 the index made two workers slower than one. A worker runs only private
+code and numpy, so a tracer that wraps the public functions sees one
+``correlate`` span.
+
+Each worker thread allocates from its own malloc arena, which stays resident
+after the call, up to the most the worker held at once, under the next
+allocation peak of the process. So the pair budget is per worker and small:
+at 2**17 pairs per worker it raised the peak memory of a pipeline run by
+about 15 %, at 2**15 by 0-4 %. The pairs are counted 2**13 starts at a time
+because a dense chunk's per-start arrays at 2**15 raised that peak by 1-2
+MB. A walking chunk's arrays are written into a worker's ``_Scratch`` with
+``out=``: made afresh for every chunk, 256 kB arrays went back to the
+allocator and were faulted in again, about 0.2 s of system time per
+correlate-file pass.
 
 No validity mask is needed. The first stop is a left search, so every stop
 is at or after its start, every delay is >= 0 and truncation toward zero is
@@ -77,17 +103,25 @@ from .errors import MicrolaserError
 from .fitting import ExpFit, fit_exp_decay
 from .streams import TimestampStream
 
-# starts per chunk and pairs per batch and worker, chosen by timing the
-# pipeline-scaled (21 M pairs) and correlate-file (10 M x 10 M events)
-# streams and by the peak memory of pipeline-scaled; neither size changes
-# the counts
-DEFAULT_CHUNK = 1 << 13
+# starts per chunk, pairs per batch and worker, and starts whose pairs are
+# counted together, chosen by timing the pipeline-scaled (21 M pairs) and
+# correlate-file (10 M x 10 M events) streams on one and two workers and by
+# the peak memory of pipeline-scaled; no size changes the counts
+DEFAULT_CHUNK = 1 << 15
 PAIR_BATCH = 1 << 15
+_PAIR_STARTS = 1 << 13
 # stops binned per start by walking before the rest of its window is searched;
 # longer walks timed alike on the correlate-file streams, 2 and 3 were slower
 WALK_STEPS = 4
+# the bucket index is built where the stop slice holds at most _BUCKET_LOAD
+# stops per start; a start steps forward at most _BUCKET_STEPS times, then is
+# searched
+_BUCKET_LOAD = 4
+_BUCKET_STEPS = 2
 # fewest bins, past the excluded ones and with counts, that ``fit_exponential`` fits
 MIN_FIT_BINS = 10
+# most bins a window may hold: each worker counts into MAX_BINS + 1 int64, 8 MB
+MAX_BINS = 1 << 20
 # a cgroup v2 CPU quota: "<quota> <period>" in microseconds, or "max <period>"
 CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
 
@@ -180,6 +214,10 @@ def correlate(
         raise ValueError(f"window must be finite, got {window}")
     if window < bin_width:
         raise ValueError(f"window ({window}) must be >= bin_width ({bin_width})")
+    if _too_many_bins(bin_width, window):
+        raise ValueError(
+            f"window ({window}) holds more than {MAX_BINS} bins of bin_width ({bin_width})"
+        )
     if a.duration != b.duration:
         raise ValueError(
             f"streams must share an acquisition duration, got {a.duration} and {b.duration}"
@@ -231,6 +269,13 @@ def bin_count(bin_width: float, window: float) -> int:
     return math.ceil(window / bin_width - 1e-9)
 
 
+def _too_many_bins(bin_width: float, window: float) -> bool:
+    """Whether ``window`` holds more than ``MAX_BINS`` bins of ``bin_width``
+    (>= 0). A window past twice that many bins is refused without a count,
+    which could overflow."""
+    return window > 2 * MAX_BINS * bin_width or bin_count(bin_width, window) > MAX_BINS
+
+
 def _usable_cpus() -> int:
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -255,6 +300,21 @@ def _quota_cpus(text: str) -> int | None:
     return -(-quota // period) if quota > 0 and period > 0 else None
 
 
+class _Scratch:
+    """Named arrays one worker reuses from chunk to chunk, each grown to the
+    most that a chunk asks of it; ``scratch(name, size, dtype)`` is the first
+    ``size`` elements."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def __call__(self, name, size, dtype=np.float64):
+        a = self._arrays.get(name)
+        if a is None or a.size < size:
+            a = self._arrays[name] = np.empty(size, dtype)
+        return a[:size]
+
+
 def _correlate_share(starts, stops, bin_width, n_bins, reach, worker, n_workers, stop):
     """Counts of chunks worker, worker + n_workers, ... of ``DEFAULT_CHUNK``
     starts each.
@@ -263,6 +323,7 @@ def _correlate_share(starts, stops, bin_width, n_bins, reach, worker, n_workers,
     """
     # bin n_bins collects the delays past the last bin and is cut off at the end
     counts = np.zeros(n_bins + 1, dtype=np.int64)
+    scratch = _Scratch()
     for begin in range(worker * DEFAULT_CHUNK, starts.size, n_workers * DEFAULT_CHUNK):
         if stop.is_set():
             break
@@ -273,58 +334,107 @@ def _correlate_share(starts, stops, bin_width, n_bins, reach, worker, n_workers,
         if j0 == j1:
             continue
         near = stops[j0:j1]
-        lo = np.searchsorted(near, s, side="left")
         walk = near.size * reach <= WALK_STEPS * (s[-1] - s[0] + reach)
-        # lo is nondecreasing, so the starts with no stop in the slice are a suffix
-        live = int(np.searchsorted(lo, near.size))
-        s, lo = s[:live], lo[:live]
+        # the starts past the last stop have none in the slice; they are a suffix
+        s = s[: np.searchsorted(s, near[-1], side="right")]
         if walk:
-            s, lo = _walk(counts, near, s, lo, bin_width, n_bins)
-        if not s.size:
-            continue
-        per = np.searchsorted(near, s + reach, side="right") - lo
-        ends = np.cumsum(per)
-        # pair p of start i has stop index key[i] + p, counting p over the chunk
-        key = lo - (ends - per)
-        first = done = 0
-        while done < ends[-1]:
-            # take as many starts as fit the pair budget (at least one)
-            last = max(int(np.searchsorted(ends, done + PAIR_BATCH, side="right")), first + 1)
-            sl = slice(first, last)
-            idx = np.repeat(key[sl], per[sl])
-            idx += np.arange(done, ends[last - 1])
-            tau = near[idx]
-            tau -= np.repeat(s[sl], per[sl])
-            tau /= bin_width
-            # lo makes tau >= 0, so truncation is the floor; delays at or just past
-            # the reach land in bin n_bins or above, and those above are cut off here
-            counts += np.bincount(tau.astype(np.int64), minlength=n_bins + 1)[: n_bins + 1]
-            first, done = last, ends[last - 1]
+            lo = _first_stops(near, s, scratch)
+            s, lo = _walk(counts, near, s, lo, bin_width, n_bins, scratch)
+        for k in range(0, s.size, _PAIR_STARTS):
+            block = s[k : k + _PAIR_STARTS]
+            block_lo = lo[k : k + _PAIR_STARTS] if walk else np.searchsorted(near, block)
+            _pairs(counts, near, block, block_lo, bin_width, n_bins, reach)
     return counts[:n_bins]
 
 
-def _walk(counts, near, s, lo, bin_width, n_bins):
+def _pairs(counts, near, s, lo, bin_width, n_bins, reach):
+    """Bin the stops of each start from its first, ``lo``, to its right
+    search at s + reach, materialized at most ``PAIR_BATCH`` at a time."""
+    per = np.searchsorted(near, s + reach, side="right") - lo
+    ends = np.cumsum(per)
+    # pair p of start i has stop index key[i] + p, counting p over the block
+    key = lo - (ends - per)
+    first = done = 0
+    while done < ends[-1]:
+        # take as many starts as fit the pair budget (at least one)
+        last = max(int(np.searchsorted(ends, done + PAIR_BATCH, side="right")), first + 1)
+        sl = slice(first, last)
+        idx = np.repeat(key[sl], per[sl])
+        idx += np.arange(done, ends[last - 1])
+        tau = near[idx]
+        tau -= np.repeat(s[sl], per[sl])
+        tau /= bin_width
+        # lo makes tau >= 0, so truncation is the floor; delays at or just past
+        # the reach land in bin n_bins or above, and those above are cut off here
+        counts += np.bincount(tau.astype(np.int64), minlength=n_bins + 1)[: n_bins + 1]
+        first, done = last, ends[last - 1]
+
+
+def _first_stops(near, s, scratch):
+    """``np.searchsorted(near, s, side="left")`` for starts s <= near[-1] and
+    stops near >= s[0], through the bucket index of the module docstring
+    where ``near`` holds at most ``_BUCKET_LOAD`` stops per start.
+
+    Every index is in range, so the gathers into ``out=`` arrays take mode
+    "clip", with which numpy writes into them directly; the default gathers
+    into a copy.
+    """
+    m, n = near.size, s.size
+    span = float(near[-1] - s[0])
+    scale = m / span if span > 0.0 else math.inf
+    if m > _BUCKET_LOAD * n or not 0.0 < scale < math.inf:
+        return np.searchsorted(near, s, side="left")
+    x, cells = scratch("x", m), scratch("cells", m, np.intp)
+    np.subtract(near, s[0], out=x)
+    x *= scale
+    np.copyto(cells, x, casting="unsafe")
+    # first[c] counts the stops in the cells below c; the last stop's cell is at most m
+    first = scratch("first", m + 1, np.intp)
+    first[0] = 0
+    np.cumsum(np.bincount(cells, minlength=m)[:m], out=first[1:])
+    x, cells, lo = scratch("x", n), scratch("cells", n, np.intp), scratch("lo0", n, np.intp)
+    np.subtract(s, s[0], out=x)
+    x *= scale
+    np.copyto(cells, x, casting="unsafe")
+    first.take(cells, out=lo, mode="clip")
+    behind = scratch("mask0", n, bool)
+    for _ in range(_BUCKET_STEPS):
+        np.less(near.take(lo, out=x, mode="clip"), s, out=behind)
+        lo += behind
+    np.less(near.take(lo, out=x, mode="clip"), s, out=behind)
+    behind = np.flatnonzero(behind)
+    if behind.size:
+        lo[behind] = np.searchsorted(near, s.take(behind), side="left")
+    return lo
+
+
+def _walk(counts, near, s, lo, bin_width, n_bins, scratch):
     """Bin the next stop of every start at once, at most ``WALK_STEPS`` times.
 
     For a fixed start the float delay does not decrease with the stop index,
     so a start is done once a stop lands in bin n_bins or the slice ends.
     Returns the starts still inside their window and their next stop index.
     """
-    for _ in range(WALK_STEPS):
-        if not s.size:
+    for step in range(WALK_STEPS):
+        n = s.size
+        if not n:
             break
-        tau = near[lo]
+        tau, bins = scratch("x", n), scratch("cells", n, np.intp)
+        near.take(lo, out=tau, mode="clip")
         tau -= s
         tau /= bin_width
         np.minimum(tau, n_bins, out=tau)
-        bins = tau.astype(np.int64)
+        np.copyto(bins, tau, casting="unsafe")
         counts += np.bincount(bins, minlength=n_bins + 1)
         lo += 1
-        inside = bins < n_bins
-        inside &= lo < near.size
+        inside = np.less(bins, n_bins, out=scratch("mask0", n, bool))
+        inside &= np.less(lo, near.size, out=scratch("mask1", n, bool))
         # an index and two gathers: a boolean mask on each array is slower
         inside = np.flatnonzero(inside)
-        s, lo = s.take(inside), lo.take(inside)
+        # gather into the other of two pairs of arrays; lo0 may hold the first lo
+        k, other = inside.size, (step + 1) % 2
+        s = s.take(inside, out=scratch(f"s{other}", k), mode="clip")
+        lo = lo.take(inside, out=scratch(f"lo{other}", k, np.intp), mode="clip")
     return s, lo
 
 

@@ -487,6 +487,15 @@ def test_correlate_fit_roundtrip(tmp_path, scaled_cfg_file):
     assert len(rows) == n_bins + 1
 
 
+def write_timestamp_csv(stream, path):
+    """``stream`` as a one-column CSV of integer picoseconds with its header lines."""
+    ps = np.round(stream.times * PS_PER_SECOND).astype(np.int64)
+    duration_ps = round(stream.duration * PS_PER_SECOND)
+    with open(path, "w") as fh:
+        fh.write(f"# channel = {stream.channel}\n# duration_ps = {duration_ps}\ntimestamp_ps\n")
+        fh.writelines(f"{t}\n" for t in ps)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -517,15 +526,17 @@ def test_every_route_gives_one_histogram(seed, sizes, bin_ps, n_bins, windows, o
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for stream, name in ((a, "ch1.mlts1"), (b, "ch2.mlts1")):
-            write_mlts1(stream, tmp / name)
-            again = read_stream(tmp / name)
-            assert np.array_equal(again.times, stream.times)
-            assert again.duration == stream.duration
-        from_file = correlate(read_stream(tmp / "ch1.mlts1"), read_stream(tmp / "ch2.mlts1"),
-                              bin_width, window)
-        assert np.array_equal(from_file.counts, whole.counts)
-        assert (from_file.rate1, from_file.rate2) == (whole.rate1, whole.rate2)
+        # each stream as MLTS1 and as a timestamp_ps CSV, read back
+        for ext, write in (("mlts1", write_mlts1), ("csv", write_timestamp_csv)):
+            paths = [tmp / f"ch{channel}.{ext}" for channel in (1, 2)]
+            for stream, path in zip((a, b), paths):
+                write(stream, path)
+                again = read_stream(path)
+                assert np.array_equal(again.times, stream.times)
+                assert again.duration == stream.duration
+            from_file = correlate(*map(read_stream, paths), bin_width, window)
+            assert np.array_equal(from_file.counts, whole.counts)
+            assert (from_file.rate1, from_file.rate2) == (whole.rate1, whole.rate2)
 
         # correlate-fit's g2 rows are normalize(correlate(...)) as written
         assert main(["correlate-fit", str(tmp / "ch1.mlts1"), str(tmp / "ch2.mlts1"),
@@ -791,6 +802,31 @@ def test_window_with_too_few_fit_bins_is_refused(tmp_path, scaled_cfg_file, caps
     assert main(["pipeline", "--config", str(scaled_cfg_file), "--duration-s", "0.001",
                  "--bin-ns", "600", "--out-dir", str(tmp_path / "q")]) == 2
     assert capsys.readouterr().err.count("the fit needs 10") == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scaled.cfg"]
+
+
+def test_window_with_too_many_bins_is_refused(tmp_path, scaled_cfg_file, capsys, monkeypatch):
+    # more than MAX_BINS bins is a configuration error before any stream is read,
+    # simulated or written: 5e8 bins of 1e-5 ns, and bin widths whose bin count
+    # overflows or that underflow to 0 s
+    def fail(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(cli, "read_stream", fail)
+    monkeypatch.setattr(cli.trajectory, "simulate", fail)
+    streams = [str(tmp_path / "no1"), str(tmp_path / "no2")]
+    for bin_ns in ("1e-5", "1e-300", "1e-320"):
+        assert main(["correlate-fit", *streams, "--bin-ns", bin_ns, "--window-us", "5",
+                     "--out", str(tmp_path / "x")]) == 2
+    assert main(["pipeline", "--config", str(scaled_cfg_file), "--duration-s", "0.001",
+                 "--bin-ns", "1e-5", "--out-dir", str(tmp_path / "p")]) == 2
+    # one bin past the bound; 2**20 bins of 1 ns go on to read the missing streams
+    assert main(["correlate-fit", *streams, "--bin-ns", "1", "--window-us", "1048.577",
+                 "--out", str(tmp_path / "x")]) == 2
+    monkeypatch.undo()
+    assert main(["correlate-fit", *streams, "--bin-ns", "1", "--window-us", "1048.576",
+                 "--out", str(tmp_path / "x")]) == 4
+    assert capsys.readouterr().err.count(f"more than {2**20} bins") == 5
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scaled.cfg"]
 
 

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from microlaser import correlator as correlator_module
@@ -258,6 +258,94 @@ def test_brute_force_parity_at_one_stop_per_start(monkeypatch, cpus):
     assert np.array_equal(h.counts, brute_force_counts(a.times, b.times, bin_width, window))
     assert len(left) == -(-a.count // correlator_module.DEFAULT_CHUNK)
     assert 0 < sum(left) < a.count // 20
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    origin=st.sampled_from([0.0, 1.0, 1e300]),
+    # subnormal, ordinary and very large spans; 1e-9 on 1e300 makes every time equal
+    unit=st.sampled_from([5e-324, 1e-310, 1e-9, 0.1, 1e300]),
+    stop_ticks=st.lists(st.integers(0, 60), min_size=1, max_size=90),
+    start_ticks=st.lists(st.integers(0, 60), min_size=1, max_size=30),
+    # one stop far past the rest crowds them into the first cell
+    far_stop=st.booleans(),
+)
+# a burst of stops below start 1 in the first cell: it exhausts the steps forward
+@example(origin=0.0, unit=1.0, stop_ticks=[0] * 30, start_ticks=[0, 1], far_stop=True)
+# 90 stops for 2 starts: denser than the index takes
+@example(origin=0.0, unit=1.0, stop_ticks=list(range(90)), start_ticks=[0, 45],
+         far_stop=False)
+# all times equal: span 0
+@example(origin=1.0, unit=5e-324, stop_ticks=[0, 1, 2], start_ticks=[0, 1],
+         far_stop=False)
+def test_bucket_search_is_a_left_search(origin, unit, stop_ticks, start_ticks, far_stop):
+    ticks = sorted(stop_ticks) + [10**6] * far_stop
+    near = origin + np.array(ticks, dtype=float) * unit
+    s = np.sort(origin + np.array(start_ticks, dtype=float) * unit)
+    # as in a chunk: the stop slice begins at the first start, and the starts
+    # past its last stop are cut off
+    near = near[near >= s[0]]
+    assume(near.size)
+    s = s[s <= near[-1]]
+    lo = correlator_module._first_stops(near, s, correlator_module._Scratch())
+    assert np.array_equal(lo, np.searchsorted(near, s, side="left"))
+
+
+def test_bucket_search_searches_only_the_starts_it_cannot_step_to(monkeypatch):
+    searched = []
+    search = np.searchsorted
+
+    def spy(a, v, side="left"):
+        searched.append(np.size(v))
+        return search(a, v, side=side)
+
+    monkeypatch.setattr(correlator_module.np, "searchsorted", spy)
+    rng = np.random.default_rng(61)
+    near = np.sort(rng.uniform(0.0, 1.0, 5000))
+    s = np.sort(rng.uniform(0.0, near[-1], 4000))
+    s[0] = 0.0
+    lo = correlator_module._first_stops(near, s, correlator_module._Scratch())
+    assert np.array_equal(lo, search(near, s, side="left"))
+    assert sum(searched) < s.size // 20  # at about one stop per cell, few need 3 steps
+    # 3,000 stops inside 1e-6 and one 1 s later fill one cell: every start past
+    # the third stop of the burst is searched
+    near = np.append(np.sort(rng.uniform(0.0, 1e-6, 3000)), 1.0)
+    s = np.sort(rng.uniform(0.0, 1e-6, 3000))
+    s[0] = 0.0
+    searched.clear()
+    lo = correlator_module._first_stops(near, s, correlator_module._Scratch())
+    assert np.array_equal(lo, search(near, s, side="left"))
+    assert sum(searched) == np.count_nonzero(lo > 2)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_brute_force_parity_on_bursts(monkeypatch, cpus):
+    # Each of two chunks holds a burst of starts and 30,000 stops inside 1 us,
+    # then one start and one stop 1 s later. The index puts a burst in one
+    # cell, so its starts run out of steps forward and are searched.
+    rng = np.random.default_rng(97)
+    n = correlator_module.DEFAULT_CHUNK - 1
+    starts, stops = [], []
+    for t in (0.5, 3.0):
+        starts += [np.sort(rng.uniform(t, t + 1e-6, n)), [t + 1.0]]
+        stops += [np.sort(rng.uniform(t, t + 1e-6, 30_000)), [t + 1.0]]
+    a = TimestampStream(np.concatenate(starts), 1, 5.0)
+    b = TimestampStream(np.concatenate(stops), 2, 5.0)
+    monkeypatch.setattr(correlator_module, "_usable_cpus", lambda: cpus)
+    h = correlate(a, b, 1e-12, 1e-10)
+    assert np.array_equal(h.counts, brute_force_counts(a.times, b.times, 1e-12, 1e-10))
+    assert h.counts.sum() > 100_000
+
+
+def test_correlate_refuses_more_than_max_bins():
+    a = TimestampStream(np.array([0.0, 1e-6]), 1, 1.0)
+    b = TimestampStream(np.array([0.0]), 2, 1.0)
+    max_bins = correlator_module.MAX_BINS
+    assert correlate(a, b, 1e-9, max_bins * 1e-9).n_bins == max_bins
+    # one bin more, a ratio past any count, and a subnormal bin width
+    for bin_width, window in ((1e-9, (max_bins + 1) * 1e-9), (1e-300, 1.0), (5e-324, 1e-6)):
+        with pytest.raises(ValueError, match=f"more than {max_bins} bins"):
+            correlate(a, b, bin_width, window)
 
 
 def test_correlate_validation():
