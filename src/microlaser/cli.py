@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, correlator, quantum, semiclassical, trajectory
-from .core import VelocityDistribution, config_fingerprint, load_config
+from .core import DEFAULT_QUADRATURE_NODES, VelocityDistribution, config_fingerprint, load_config
 from .errors import ConfigError, MicrolaserError
 from .streams import read_stream, write_mlts1
 
@@ -49,6 +49,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
+# Most points a sweep's --n-range may hold, counted before np.arange allocates
+# them (0:1e10:1 asked it for 75 GiB): 1,250 times the 80 of the largest
+# reference sweep. Each point is a steady-state solve and a CSV row.
+MAX_SWEEP_POINTS = 100_000
 # Path CSV rows are formatted and written this many at a time.
 PATH_CSV_BLOCK = 65536
 # A stream file at least this large is read on a pool thread. What a thread
@@ -183,13 +187,15 @@ def _correlate_fit(a, b, bin_width, window, cfg=None, theory=None, symmetric=Fal
     ``cfg``), the Q estimates and the comparison with that theory."""
     # the streams' duration is known: refuse a window the normalization would
     # refuse before counting its pairs
-    correlator._refuse_end(bin_width, window, a.duration)
+    reason = correlator.window_refusal(bin_width, window, duration=a.duration)
+    if reason is not None:
+        raise correlator.NormalizationError(f"undefined normalization: {reason}")
     if symmetric:
         est = correlator.g2_symmetric(a, b, bin_width, window)
     else:
         hist = correlator.correlate(a, b, bin_width, window)
         est = correlator.normalize(hist)
-    fit = correlator.fit_exponential(est, exclude_below=exclude_bins * bin_width)
+    fit = correlator.fit_exponential(est, exclude_bins)
     # the per-bin rms of g2 at tau = 0 for uncorrelated streams, on this estimate's baseline
     measured = [("rate1_hz", est.rate1), ("rate2_hz", est.rate2), ("t_acq_s", est.t_acq),
                 ("bin_width_s", bin_width), ("window_s", window),
@@ -211,20 +217,23 @@ def _correlate_fit(a, b, bin_width, window, cfg=None, theory=None, symmetric=Fal
 
 
 def _parse_n_range(text: str) -> list[float]:
-    """'a:b:step' inclusive range, or a single value."""
-    parts = text.split(":")
+    """'a:b:step' inclusive range of at most ``MAX_SWEEP_POINTS`` values, or a
+    single value. The points are counted before any is made."""
     try:
-        if len(parts) == 1:
-            return [float(parts[0])]
-        if len(parts) == 3:
-            a, b, step = (float(p) for p in parts)
-            if step <= 0.0 or b < a:
-                raise ConfigError(f"bad n-range {text!r}: need a <= b and step > 0")
-            values = np.arange(a, b + 0.5 * step, step)
-            return [float(v) for v in values]
+        values = [float(part) for part in text.split(":")]
     except ValueError:
-        pass
-    raise ConfigError(f"bad n-range {text!r}: expected 'a:b:step' or a single number")
+        values = []
+    if len(values) == 1:
+        return values
+    if len(values) != 3:
+        raise ConfigError(f"bad n-range {text!r}: expected 'a:b:step' or a single number")
+    a, b, step = values
+    if not (step > 0.0 and b >= a):
+        raise ConfigError(f"bad n-range {text!r}: need a <= b and step > 0")
+    # np.arange makes ceil((stop - start) / step) points
+    if not (b + 0.5 * step - a) / step <= MAX_SWEEP_POINTS:
+        raise ConfigError(f"bad n-range {text!r}: more than {MAX_SWEEP_POINTS} points")
+    return np.arange(a, b + 0.5 * step, step).tolist()
 
 
 def _read_pair(path1, path2):
@@ -334,34 +343,12 @@ def cmd_correlate_fit(args, cfg, dist, manifest):
         _write_estimate(args.g2_csv, manifest.entries(), est)
 
 
-def _check_window(window: float, bin_ns: float, exclude_bins: int = 1,
-                  duration: float | None = None) -> None:
-    """Refuse a correlation window (s) that holds no bin of ``bin_ns``, more
-    than ``correlator.MAX_BINS``, too few past the ``exclude_bins`` leading
-    ones for ``fit_exponential``, or, given the run's ``duration``, a last bin
-    that the normalization refuses: one at or past the end of the run, where
-    it expects no pairs."""
-    bin_width = bin_ns * 1e-9
-    if window < bin_width:
-        raise ConfigError(f"window {window:g} s is shorter than one bin of {bin_ns:g} ns")
-    if correlator._too_many_bins(bin_width, window):
-        raise ConfigError(
-            f"window {window:g} s holds more than {correlator.MAX_BINS} bins of {bin_ns:g} ns"
-        )
-    n_fit = correlator.bin_count(bin_width, window) - exclude_bins
-    if n_fit < correlator.MIN_FIT_BINS:
-        raise ConfigError(
-            f"window {window:g} s leaves {n_fit} bins of {bin_ns:g} ns past the "
-            f"{exclude_bins} excluded, and the fit needs {correlator.MIN_FIT_BINS}"
-        )
-    if duration is not None and correlator._reaches_end(bin_width, window, duration):
-        raise ConfigError(f"window {window:g} s reaches the end of the {duration:g} s run")
-
-
 def cmd_pipeline(args, cfg, dist, manifest):
     window = (quantum.DEFAULT_TAU_SPAN_LIFETIMES / cfg.gamma_c if args.window_us is None
               else args.window_us * 1e-6)
-    _check_window(window, args.bin_ns, duration=args.duration_s)
+    reason = correlator.window_refusal(args.bin_ns * 1e-9, window, 1, args.duration_s)
+    if reason is not None:
+        raise ConfigError(reason)
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     out1, out2, g2_csv_path, report_path = manifest.outputs
 
@@ -432,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, required=True, config_help="flat key = value configuration file"):
         p.add_argument("--config", required=required, help=config_help)
         p.add_argument(
-            "--quadrature-nodes", type=int, default=64,
-            help="velocity quadrature node count (default 64)",
+            "--quadrature-nodes", type=int, default=DEFAULT_QUADRATURE_NODES,
+            help=f"velocity quadrature node count (default {DEFAULT_QUADRATURE_NODES})",
         )
 
     p = sub.add_parser("sweep", help="pump sweep: fixed points and quantum moments per N")
@@ -508,7 +495,11 @@ def main(argv=None) -> int:
                     f"--{flag.replace('_', '-')} must be positive and finite, got {value}"
                 )
         if args.command == "correlate-fit":
-            _check_window(args.window_us * 1e-6, args.bin_ns, args.exclude_bins)
+            reason = correlator.window_refusal(
+                args.bin_ns * 1e-9, args.window_us * 1e-6, args.exclude_bins
+            )
+            if reason is not None:
+                raise ConfigError(reason)
         outputs, record_path = _outputs(args)
         before = [_stat(path) for path in outputs]
         # one clock per command line, from its config load to its last artifact

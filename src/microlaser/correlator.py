@@ -85,9 +85,11 @@ below n_bins has t - s <= reach, so the bound keeps it, as the brute force
 keeps it, and keeps every stop the walk has binned. What the bound keeps
 past the last bin lands in bin n_bins or above and is cut off.
 
-One constructor, ``_estimate``, builds every g2 estimate from pair counts
-and the one baseline, ``_uncorrelated_pairs``. The module writes no files;
-``cli`` formats its results.
+One rule, ``window_refusal``, decides which windows every route accepts, and
+``CorrelationHistogram.tau_centers`` where their bins lie; ``fit_exponential``
+excludes bins by index. One constructor, ``_estimate``, builds every g2
+estimate from pair counts and the one baseline, ``_uncorrelated_pairs``. The
+module writes no files; ``cli`` formats its results.
 """
 
 from __future__ import annotations
@@ -208,16 +210,9 @@ def correlate(
     CPU; the partial histograms are summed into the result, which is
     bit-identical to processing event by event.
     """
-    if not (0.0 < bin_width < math.inf):
-        raise ValueError(f"bin_width must be positive and finite, got {bin_width}")
-    if not math.isfinite(window):
-        raise ValueError(f"window must be finite, got {window}")
-    if window < bin_width:
-        raise ValueError(f"window ({window}) must be >= bin_width ({bin_width})")
-    if _too_many_bins(bin_width, window):
-        raise ValueError(
-            f"window ({window}) holds more than {MAX_BINS} bins of bin_width ({bin_width})"
-        )
+    reason = window_refusal(bin_width, window)
+    if reason is not None:
+        raise ValueError(reason)
     if a.duration != b.duration:
         raise ValueError(
             f"streams must share an acquisition duration, got {a.duration} and {b.duration}"
@@ -269,11 +264,32 @@ def bin_count(bin_width: float, window: float) -> int:
     return math.ceil(window / bin_width - 1e-9)
 
 
-def _too_many_bins(bin_width: float, window: float) -> bool:
-    """Whether ``window`` holds more than ``MAX_BINS`` bins of ``bin_width``
-    (>= 0). A window past twice that many bins is refused without a count,
-    which could overflow."""
-    return window > 2 * MAX_BINS * bin_width or bin_count(bin_width, window) > MAX_BINS
+def window_refusal(bin_width: float, window: float, exclude_bins: int | None = None,
+                   duration: float | None = None) -> str | None:
+    """Why a window (s) of bins of ``bin_width`` (s) is refused, or None: it is
+    not finite, ``bin_width`` is not positive and finite (one that underflowed
+    to 0 leaves a positive window more than ``MAX_BINS`` bins), it holds no bin
+    or more than ``MAX_BINS``, it leaves fewer than ``MIN_FIT_BINS`` past
+    ``exclude_bins`` if given, or its last bin is centred at or past the end of
+    a run of ``duration`` if given, where the normalization expects no pairs."""
+    if not math.isfinite(window):
+        return f"window must be finite, got {window}"
+    if not (0.0 < bin_width < math.inf or bin_width == 0.0 < window):
+        return f"bin_width must be positive and finite, got {bin_width}"
+    if window < bin_width:
+        return f"window {window:g} s is shorter than one bin of {bin_width:g} s"
+    # a window past twice MAX_BINS bins is refused without a count, which could overflow
+    n_bins = bin_count(bin_width, window) if window <= 2 * MAX_BINS * bin_width else math.inf
+    if n_bins > MAX_BINS:
+        return f"window {window:g} s holds more than {MAX_BINS} bins of {bin_width:g} s"
+    if exclude_bins is not None and n_bins - exclude_bins < MIN_FIT_BINS:
+        return (
+            f"window {window:g} s leaves {n_bins - exclude_bins} bins of {bin_width:g} s past "
+            f"the {exclude_bins} excluded, and the fit needs {MIN_FIT_BINS}"
+        )
+    if duration is not None and (n_bins - 0.5) * bin_width >= duration:
+        return f"window {window:g} s reaches the end of the {duration:g} s run"
+    return None
 
 
 def _usable_cpus() -> int:
@@ -482,48 +498,36 @@ def g2_symmetric(
     return _estimate(h_ab, h_ab.counts + h_ba.counts, 2)
 
 
-def _uncorrelated_pairs(rate1, rate2, bin_width, t_acq, window=None):
-    """Pairs that uncorrelated streams give in a bin at delay tau,
-    rate1 * rate2 * bin_width * (t_acq - tau): at tau = 0, or per bin of
-    ``window`` at its centres. A start within tau of the end of the run has
-    no stop at delay tau, a loss linear in tau, so this is exact (Wahl et al.,
-    Opt. Express 11, 3583 (2003)). Refuses a rate, bin width or time <= 0, and
-    a window whose last bin reaches the end of the run and expects no pairs.
+def _uncorrelated_pairs(rate1, rate2, bin_width, t_acq, tau=0.0):
+    """Pairs that uncorrelated streams give in a bin at delay ``tau`` (a
+    number or an array), rate1 * rate2 * bin_width * (t_acq - tau). A start
+    within tau of the end of the run has no stop at delay tau, a loss linear
+    in tau, so this is exact (Wahl et al., Opt. Express 11, 3583 (2003)).
+    Refuses a rate, bin width or time <= 0.
     """
     if min(rate1, rate2, bin_width, t_acq) <= 0.0:
         raise NormalizationError(
             f"undefined normalization: zero rate, bin width or time (rates {rate1:g} and "
             f"{rate2:g} Hz, bin width {bin_width:g} s, run {t_acq:g} s)"
         )
-    if window is not None:
-        _refuse_end(bin_width, window, t_acq)
-    tau = 0.0 if window is None else (np.arange(bin_count(bin_width, window)) + 0.5) * bin_width
     return rate1 * rate2 * bin_width * (t_acq - tau)
-
-
-def _reaches_end(bin_width: float, window: float, t_acq: float) -> bool:
-    """Whether the centre of the window's last bin is at or past ``t_acq``."""
-    return (bin_count(bin_width, window) - 0.5) * bin_width >= t_acq
-
-
-def _refuse_end(bin_width: float, window: float, t_acq: float) -> None:
-    """Refuse a window whose last bin reaches the end of the run, where the
-    normalization expects no pairs."""
-    if _reaches_end(bin_width, window, t_acq):
-        raise NormalizationError(
-            f"undefined normalization: window {window:g} s reaches the end of the {t_acq:g} s run"
-        )
 
 
 def _estimate(h: CorrelationHistogram, counts: np.ndarray, copies: int) -> G2Estimate:
     """g2 of ``counts``, summed over ``copies`` histograms like ``h``, over
     ``copies`` baselines, with Poisson sigmas; the normalization is at tau = 0."""
     run = h.rate1, h.rate2, h.bin_width, h.t_acq
-    baseline = copies * _uncorrelated_pairs(*run, h.window)
+    # a zero rate is refused before the end of the run
+    normalization = copies * _uncorrelated_pairs(*run)
+    reason = window_refusal(h.bin_width, h.window, duration=h.t_acq)
+    if reason is not None:
+        raise NormalizationError(f"undefined normalization: {reason}")
+    tau = h.tau_centers
+    baseline = copies * _uncorrelated_pairs(*run, tau)
     c = counts.astype(float)
     return G2Estimate(
-        tau=h.tau_centers, g2=c / baseline, sigma=np.sqrt(c) / baseline,
-        normalization=copies * _uncorrelated_pairs(*run), counts=counts,
+        tau=tau, g2=c / baseline, sigma=np.sqrt(c) / baseline,
+        normalization=normalization, counts=counts,
         bin_width=h.bin_width, window=h.window, t_acq=h.t_acq, rate1=h.rate1, rate2=h.rate2,
     )
 
@@ -533,16 +537,14 @@ def shot_noise_rms(rate1: float, rate2: float, bin_width: float, t_acq: float) -
     return 1.0 / math.sqrt(_uncorrelated_pairs(rate1, rate2, bin_width, t_acq))
 
 
-def fit_exponential(est: G2Estimate, exclude_below: float | None = None) -> ExpFit:
+def fit_exponential(est: G2Estimate, exclude_bins: int = 1) -> ExpFit:
     """Weighted fit of 1 + C0 exp(-tau/tau_c) to a g2 estimate.
 
-    The first bin is excluded by default (detector artifacts in real data,
-    pair-counting edge effects in synthetic data), as are empty bins, whose
-    Poisson sigma would be zero.
+    The first ``exclude_bins`` bins are excluded, one by default (detector
+    artifacts in real data, pair-counting edge effects in synthetic data), as
+    are empty bins, whose Poisson sigma would be zero.
     """
-    if exclude_below is None:
-        exclude_below = est.bin_width
-    usable = (est.tau >= exclude_below) & (est.counts > 0)
+    usable = (np.arange(est.counts.size) >= exclude_bins) & (est.counts > 0)
     if usable.sum() < MIN_FIT_BINS:
         raise ValueError(
             f"need at least {MIN_FIT_BINS} usable bins with counts, have {int(usable.sum())}"

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import math
@@ -9,21 +10,26 @@ import time
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from microlaser import cli
 from microlaser.cli import main
 from microlaser.core import VelocityDistribution, load_config
 from microlaser.correlator import (
+    MAX_BINS,
+    NormalizationError,
+    bin_count,
     correlate,
     g2_symmetric,
     merge_histograms,
     normalize,
     shot_noise_rms,
+    window_refusal,
 )
 from microlaser.streams import (
     PS_PER_SECOND,
@@ -756,13 +762,30 @@ def test_exit_code_config_error(tmp_path):
     assert main(["correlate-fit", str(tmp_path / "no1"), str(tmp_path / "no2"),
                  "--window-us", "1", "--quadrature-nodes", "0",
                  "--out", str(tmp_path / "x")]) == 2
+    # "--flag=-inf": a separate "-inf" is read as an option, a usage error (exit 2)
     for flag in ("--bin-ns", "--window-us"):
         for bad in ("nan", "inf", "-inf", "0", "-1"):
             assert main(["correlate-fit", str(tmp_path / "no1"), str(tmp_path / "no2"),
-                         "--window-us", "1", flag, bad, "--out", str(tmp_path / "x")]) == 2
+                         "--window-us", "1", f"{flag}={bad}", "--out", str(tmp_path / "x")]) == 2
             assert main(["pipeline", "--config", str(missing), "--duration-s", "0.001",
-                         flag, bad, "--out-dir", str(tmp_path / "x")]) == 2
+                         f"{flag}={bad}", "--out-dir", str(tmp_path / "x")]) == 2
     assert not (tmp_path / "x").exists()
+
+
+def test_n_range_is_counted_before_it_is_made(tmp_path, scaled_cfg_file, capsys):
+    # 1e10 points would allocate 75 GiB; the range is refused (exit 2) before any
+    # point is made, as are ranges whose count is not finite
+    for text in ("0:1e10:1", "0:inf:1", "0:1:1e-300"):
+        assert main(["sweep", "--config", str(scaled_cfg_file), "--n-range", text,
+                     "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.count(f"more than {cli.MAX_SWEEP_POINTS} points") == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scaled.cfg"]
+    assert len(cli._parse_n_range(f"0:{cli.MAX_SWEEP_POINTS - 1}:1")) == cli.MAX_SWEEP_POINTS
+    with pytest.raises(cli.ConfigError, match="more than"):
+        cli._parse_n_range(f"0:{cli.MAX_SWEEP_POINTS}:1")
+    for text in ("5:1:1", "0:1:0", "0:1:nan"):
+        with pytest.raises(cli.ConfigError, match="need a <= b and step > 0"):
+            cli._parse_n_range(text)
 
 
 def test_tail_normalize_is_an_unknown_option(tmp_path, capsys):
@@ -863,6 +886,117 @@ def test_window_reaching_the_end_of_the_run_is_refused(tmp_path, scaled_cfg_file
     err = capsys.readouterr().err
     assert err.count("undefined normalization: window 0.0010004 s reaches the end of the "
                      "0.001 s run") == 2
+
+
+class Reached(Exception):
+    """Raised by a patched stage: the command got past every refusal."""
+
+
+def reached(*args, **kwargs):
+    raise Reached
+
+
+# zero, negative, not finite, subnormal, and 1e-320 ns, a bin width that underflows to 0 s
+SPECIAL_VALUES = [0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1e-320, 1e-300]
+
+
+@st.composite
+def window_cases(draw):
+    """(--bin-ns, --window-us, --exclude-bins, --duration-s): special values, and
+    windows and durations at the edges of the window rule."""
+    bin_ns = draw(st.sampled_from(SPECIAL_VALUES + [1e-5, 20.0, 500.0]) | st.floats(1e-3, 1e4))
+    exclude_bins = draw(st.sampled_from([0, 1, 2, 10]) | st.integers(0, 2**21))
+    # n bins of bin_ns, a hair fewer or more, half as many, or a value of its own
+    n = draw(st.sampled_from([1, 9, 10, 11, exclude_bins + 9, exclude_bins + 10, MAX_BINS,
+                              MAX_BINS + 1, 2 * MAX_BINS + 1]) | st.integers(1, 100))
+    windows = [n * bin_ns * 1e-3 * f for f in (1.0, 1 - 1e-6, 1 + 1e-6, 0.5)]
+    window_us = draw(st.sampled_from(windows + SPECIAL_VALUES) | st.floats(1e-3, 1e4))
+    bin_width, window = bin_ns * 1e-9, window_us * 1e-6
+    durations = SPECIAL_VALUES + [1e-3]
+    if window_refusal(bin_width, window) is None:
+        end = (bin_count(bin_width, window) - 0.5) * bin_width  # the last bin's centre
+        durations += [end, np.nextafter(end, -math.inf), np.nextafter(end, math.inf), 2 * end]
+    return bin_ns, window_us, exclude_bins, float(draw(st.sampled_from(durations)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=window_cases())
+# the fit-bin edge of both commands: 10 bins of 500 ns leave 9 past the first, 11 leave 10
+@example(case=(500.0, 5.0, 1, 1e-3))
+@example(case=(500.0, 5.5, 1, 1e-3))
+@example(case=(20.0, 0.2, 0, 1e-3))
+# a bin width that underflows to 0 s, and the end of a 10.5 us run
+@example(case=(1e-320, 5.0, 1, 1e-3))
+@example(case=(1000.0, 11.0, 1, 10.5e-6))
+def test_every_route_refuses_the_same_windows(tmp_path_factory, case):
+    # One rule, correlator.window_refusal, decides. correlate raises ValueError
+    # for the windows it refuses; normalize and g2_symmetric raise
+    # NormalizationError for the windows it refuses only at the end of the run;
+    # correlate-fit and pipeline exit 2 with its reason (or their own for a flag
+    # no config makes valid) before they read or simulate, and reach the read
+    # or the simulation for every window it accepts.
+    bin_ns, window_us, exclude_bins, duration = case
+    bin_width, window = bin_ns * 1e-9, window_us * 1e-6
+    reason = window_refusal(bin_width, window)
+
+    run = duration if 0.0 < duration < math.inf else 1.0
+    a = TimestampStream(np.array([0.0]), 1, run)
+    b = TimestampStream(np.array([0.0]), 2, run)
+    if reason is not None:
+        with pytest.raises(ValueError) as refused:
+            correlate(a, b, bin_width, window)
+        assert str(refused.value) == reason
+    else:
+        # the values of extreme runs may overflow; only the refusals are compared
+        with np.errstate(all="ignore"):
+            h = correlate(a, b, bin_width, window)
+            end = window_refusal(bin_width, window, duration=run)
+            for estimate in (lambda: normalize(h), lambda: g2_symmetric(a, b, bin_width, window)):
+                if end is None:
+                    estimate()
+                else:
+                    with pytest.raises(NormalizationError) as refused:
+                        estimate()
+                    assert str(refused.value) == f"undefined normalization: {end}"
+
+    base = tmp_path_factory.mktemp("routes")
+    config = base / "scaled.cfg"
+    config.write_text(SCALED_CFG)
+    flags = {"--bin-ns": bin_ns, "--window-us": window_us}
+    bad_flags = [f"{flag} must be positive and finite, got {value}"
+                 for flag, value in flags.items() if not 0.0 < value < math.inf]
+    # "--flag=value", which argparse does not read as an option for a negative value
+    window_args = [f"{flag}={value!r}" for flag, value in flags.items()]
+    routes = {
+        "correlate-fit": (
+            [str(base / "no1"), str(base / "no2"), *window_args, f"--exclude-bins={exclude_bins}",
+             "--out", str(base / "fit.txt")],
+            window_refusal(bin_width, window, exclude_bins),
+        ),
+        "pipeline": (
+            ["--config", str(config), f"--duration-s={duration!r}", *window_args,
+             "--out-dir", str(base / "p")],
+            window_refusal(bin_width, window, 1, duration),
+        ),
+    }
+    with mock.patch.object(cli, "read_stream", reached), \
+            mock.patch.object(cli.trajectory, "simulate", reached), \
+            mock.patch.object(cli, "_theory", lambda cfg, dist: ()):
+        for command, (argv, refusal) in routes.items():
+            if bad_flags:
+                assert refusal is not None
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                if refusal is None:
+                    with pytest.raises(Reached):
+                        main([command, *argv])
+                    continue
+                assert main([command, *argv]) == 2
+            shown = bad_flags[0] if bad_flags else refusal
+            assert err.getvalue() == f"microlaser {command}: configuration error: {shown}\n"
+    assert not (base / "fit.txt").exists()
+    if routes["pipeline"][1] is not None:
+        assert sorted(p.name for p in base.iterdir()) == ["scaled.cfg"]
 
 
 def test_shot_noise_is_read_off_the_estimates_baseline(tmp_path):

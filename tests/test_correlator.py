@@ -239,25 +239,33 @@ def test_brute_force_parity_on_a_grid(
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_brute_force_parity_at_one_stop_per_start(monkeypatch, cpus):
     # About one stop per window: every chunk walks, and the few starts with
-    # more stops than the walk's steps go on to the search.
+    # more stops than the walk's steps go on to the search. About 80,000
+    # starts make three chunks, so two workers each take a share.
     rng = np.random.default_rng(808)
-    a = poisson_stream(rng, 20e3, 1.0, 1)
-    b = poisson_stream(rng, 20e3, 1.0, 2)
-    bin_width, window = 1e-6, 50e-6
+    a = poisson_stream(rng, 80e3, 1.0, 1)
+    b = poisson_stream(rng, 80e3, 1.0, 2)
+    bin_width, window = 0.25e-6, 12.5e-6
     monkeypatch.setattr(correlator_module, "_usable_cpus", lambda: cpus)
-    walk = correlator_module._walk
+    walk, correlate_share = correlator_module._walk, correlator_module._correlate_share
     left = []  # starts still inside their window after each chunk's walk
+    shares = []  # the worker of each share
 
     def counted(*args):
         s, lo = walk(*args)
         left.append(s.size)
         return s, lo
 
+    def counted_share(*args):
+        shares.append(args[5])
+        return correlate_share(*args)
+
     monkeypatch.setattr(correlator_module, "_walk", counted)
+    monkeypatch.setattr(correlator_module, "_correlate_share", counted_share)
     h = correlate(a, b, bin_width, window)
     assert np.array_equal(h.counts, brute_force_counts(a.times, b.times, bin_width, window))
-    assert len(left) == -(-a.count // correlator_module.DEFAULT_CHUNK)
+    assert len(left) == -(-a.count // correlator_module.DEFAULT_CHUNK) == 3
     assert 0 < sum(left) < a.count // 20
+    assert sorted(shares) == list(range(cpus))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -616,6 +624,8 @@ def test_fit_excludes_first_bin_and_empty_bins():
     fit = fit_exponential(est)
     assert fit.flat  # artifact bin dropped, remainder is flat
     assert fit.n_points == n_bins - 2
+    # the first three bins and the empty one
+    assert fit_exponential(est, exclude_bins=3).n_points == n_bins - 4
 
 
 def test_fit_needs_enough_usable_bins():
